@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from wristkin import (
-    DataPoint,
+    DataPoints,
     RationalQuadricSurface,
     fit_report,
     linear_regression,
@@ -45,7 +45,7 @@ truth = RationalQuadricSurface(
 x = rng.uniform(math.pi / 2 - 0.0873, math.pi / 2 + 0.0873, 400)
 y = rng.uniform(math.radians(-10), math.radians(30), 400)
 z = np.asarray(truth.evaluate(x, y)) + rng.normal(0, 1.0, 400)
-data = [DataPoint(*t) for t in zip(x, y, z)]
+data = DataPoints(x, y, z)
 
 report = fit_report(truth, data)
 print(f"n = {report.n}, SSE = {report.sse:.2f} mm^2, RMSE = {report.rmse:.3f} mm")

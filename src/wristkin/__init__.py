@@ -19,7 +19,7 @@ from .errors import (
 )
 from .ga import Chromosome, GAConfig, fit_surface, fitness, initial_population, step_generation
 from .regression import (
-    DataPoint,
+    DataPoints,
     FitReport,
     LinearFit,
     RationalQuadricSurface,
@@ -64,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Chromosome",
     "DHRow",
-    "DataPoint",
+    "DataPoints",
     "DegenerateDataError",
     "FitReport",
     "GAConfig",

@@ -7,8 +7,9 @@ check. Commands that write files also emit a ``<command>_manifest.json``
 timestamps, so reruns are byte-identical). Angles are degrees at the
 boundary unless ``--angle-unit rad`` is given; files always use radians.
 
-Exit codes: 0 success, 2 usage, 3 data error (schema/orientation/reach),
-4 numeric error (pole, degenerate statistic, invalid value).
+Exit codes: 0 success, 2 usage (out-of-range count, size or rate arguments
+included), 3 data error (schema/orientation/reach), 4 numeric error (pole,
+degenerate statistic, invalid value).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .ga import GAConfig, fit_surface
 from .regression import (
-    RationalQuadricSurface,
     fit_report,
     linear_regression,
     load_surface,
@@ -45,6 +45,9 @@ from .sessions import (
     SESSION_HEADER,
     SyntheticConfig,
     TrackingSession,
+    _parse_data,
+    _parse_meta,
+    _session_predictions,
     derive_joint_series,
     load_session,
     save_session,
@@ -65,8 +68,9 @@ DATA_ERROR = 3
 NUMERIC_ERROR = 4
 
 
-def _fnum(v) -> str:
-    return str(float(v))
+def _csv_lines(*columns) -> list[str]:
+    """Comma-joined rows of equal-length columns; floats print as ``repr``."""
+    return list(map(",".join, zip(*(map(str, np.asarray(c).tolist()) for c in columns))))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -327,37 +331,16 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _session_predictions(surface: RationalQuadricSurface, sessions):
-    """Yield (session, series, observed, predicted) per session."""
-    for session in sessions:
-        series = derive_joint_series(session)
-        observed = series.d2
-        predicted = np.asarray(surface.evaluate(series.beta3, series.beta4), dtype=float)
-        yield session, series, observed, predicted
-
-
 def _cmd_predict(args) -> int:
     surface = load_surface(args.surface)
     sessions = _load_dataset(args.data)
     out = _ensure_out(args)
     rows = [PREDICTIONS_HEADER]
     all_series = []
-    for session, series, observed, predicted in _session_predictions(surface, sessions):
+    for session, series, predicted in _session_predictions(surface, sessions):
         all_series.append(series)
-        sid = session.subject.subject_id
-        for k in range(len(series)):
-            rows.append(
-                ",".join(
-                    [
-                        sid,
-                        _fnum(series.times[k]),
-                        _fnum(series.states[k].beta3),
-                        _fnum(series.states[k].beta4),
-                        _fnum(observed[k]),
-                        _fnum(predicted[k]),
-                    ]
-                )
-            )
+        rows += _csv_lines([session.subject.subject_id] * len(series), series.times,
+                           series.beta3, series.beta4, series.d2, predicted)
     predictions_path = out / "predictions.csv"
     predictions_path.write_text("\n".join(rows) + "\n")
     report = fit_report(surface, to_data_points(all_series))
@@ -388,24 +371,11 @@ def _cmd_validate(args) -> int:
     sessions = _load_dataset(args.data)
     summary = validation_stats(surface, sessions)
     out = _ensure_out(args)
-    rows = [PER_SUBJECT_HEADER]
-    for s in summary.subjects:
-        rows.append(
-            ",".join(
-                [
-                    s.subject_id,
-                    str(s.n),
-                    _fnum(s.mean_residual),
-                    _fnum(s.sd_residual),
-                    _fnum(s.pct_error),
-                    _fnum(s.minimum),
-                    _fnum(s.q1),
-                    _fnum(s.median),
-                    _fnum(s.q3),
-                    _fnum(s.maximum),
-                ]
-            )
-        )
+    fields = ("subject_id", "n", "mean_residual", "sd_residual", "pct_error", "minimum",
+              "q1", "median", "q3", "maximum")
+    rows = [PER_SUBJECT_HEADER] + _csv_lines(
+        *([getattr(s, f) for s in summary.subjects] for f in fields)
+    )
     per_subject_path = out / "per_subject.csv"
     per_subject_path.write_text("\n".join(rows) + "\n")
     report_path = out / "validate_report.json"
@@ -435,14 +405,9 @@ def _cmd_validate(args) -> int:
 def _cmd_residuals(args) -> int:
     surface = load_surface(args.surface)
     sessions = _load_dataset(args.data)
-    observed_all = []
-    predicted_all = []
-    for _, _, observed, predicted in _session_predictions(surface, sessions):
-        observed_all.append(observed)
-        predicted_all.append(predicted)
-    observed = np.concatenate(observed_all)
-    predicted = np.concatenate(predicted_all)
-    residual = observed - predicted
+    residual = np.concatenate(
+        [series.d2 - predicted for _, series, predicted in _session_predictions(surface, sessions)]
+    )
     std_res = standardized_residuals(residual)
     index = np.arange(residual.size, dtype=float)
     if residual.size > args.lowess_max_points:
@@ -459,11 +424,7 @@ def _cmd_residuals(args) -> int:
     else:
         smooth = lowess(index, std_res, frac=args.lowess_frac, iterations=args.lowess_iterations)
     out = _ensure_out(args)
-    rows = [RESIDUALS_HEADER]
-    for k in range(residual.size):
-        rows.append(
-            ",".join([str(k), _fnum(residual[k]), _fnum(std_res[k]), _fnum(smooth[k])])
-        )
+    rows = [RESIDUALS_HEADER] + _csv_lines(range(residual.size), residual, std_res, smooth)
     residuals_path = out / "residuals.csv"
     residuals_path.write_text("\n".join(rows) + "\n")
     _write_manifest(
@@ -544,32 +505,20 @@ def _check_session_csv(path: Path) -> str:
     if meta.exists():
         load_session(path, meta)
         return f"session ({meta.name})"
-    # no metadata: structural validation only
-    from .sessions import _rotation_from_row
-
-    lines = path.read_text().splitlines()
-    prev = -math.inf
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 13:
-            raise SchemaError(f"{path} row {i}: expected 13 columns, got {len(parts)}")
-        try:
-            vals = [float(v) for v in parts]
-        except ValueError as exc:
-            raise SchemaError(f"{path} row {i}: non-numeric field ({exc})") from exc
-        if vals[0] <= prev:
-            raise SchemaError(f"{path} row {i}: monotonicity violated")
-        prev = vals[0]
-        _rotation_from_row(vals[4:13], f"{path} row {i}")
+    # no metadata: the loader's checks of the data file alone
+    _parse_data(path)
     return "session (no metadata)"
 
 
-def _check_report_json(path: Path, payload: dict) -> None:
-    for key in ("sse", "rmse", "r", "r_squared"):
-        if not isinstance(payload.get(key), (int, float)):
-            raise SchemaError(f"{path}: '{key}' must be a number")
-    if not isinstance(payload.get("n"), int) or payload["n"] < 1:
-        raise SchemaError(f"{path}: 'n' must be a positive integer")
+_NUMBER = (lambda v: isinstance(v, (int, float)), "a number")
+_POSITIVE_INT = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
+# numeric JSON reports: kind label -> key -> (check, what the value must be)
+_REPORTS = {
+    "fit report": {**dict.fromkeys(("sse", "rmse", "r", "r_squared"), _NUMBER),
+                   "n": _POSITIVE_INT},
+    "validation report": {**dict.fromkeys(("n_subjects", "n_total"), _POSITIVE_INT),
+                          **dict.fromkeys(("pooled_mean_mm", "pooled_sd_mm"), _NUMBER)},
+}
 
 
 def _check_manifest_json(path: Path, payload: dict) -> None:
@@ -599,12 +548,13 @@ def _check_one(path: Path) -> str:
         if {"numerator", "denominator", "angle_unit"} <= keys:
             load_surface(path)
             return "surface"
-        if {"sse", "rmse", "r", "r_squared", "n"} <= keys:
-            _check_report_json(path, payload)
-            return "fit report"
+        for kind, schema in _REPORTS.items():
+            if schema.keys() <= keys:
+                for key, (ok, what) in schema.items():
+                    if not ok(payload[key]):
+                        raise SchemaError(f"{path}: '{key}' must be {what}")
+                return kind
         if {"subject_id", "a4_mm", "p_lorg_mm", "handedness"} <= keys:
-            from .sessions import _parse_meta
-
             _parse_meta(path)
             return "session metadata"
         if {"command", "version"} <= keys:
@@ -639,6 +589,24 @@ def _cmd_check(args) -> int:
 
 
 # --- parser ----------------------------------------------------------------
+
+
+def _checked(kind: type, ok, requirement: str):
+    """argparse type: parse with ``kind``, then reject a value failing
+    ``ok`` as a usage error (exit 2)."""
+
+    def parse(text: str):
+        if not ok(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in parse errors
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
 def _add_angle_unit(p: argparse.ArgumentParser) -> None:
@@ -677,13 +645,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ik)
 
     p = sub.add_parser("synth", help="generate synthetic tracking sessions")
-    p.add_argument("--subjects", type=int, default=25)
+    p.add_argument("--subjects", type=_COUNT, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--cycles", type=int, default=10)
-    p.add_argument("--duration", type=float, default=40.0, help="seconds")
-    p.add_argument("--sample-rate", type=float, default=50.0, help="Hz")
-    p.add_argument("--noise-sigma", type=float, default=0.0, help="d2 noise sd (mm)")
+    p.add_argument("--cycles", type=_COUNT, default=10)
+    p.add_argument("--duration", type=_POSITIVE, default=40.0, help="seconds")
+    p.add_argument("--sample-rate", type=_POSITIVE, default=50.0, help="Hz")
+    p.add_argument("--noise-sigma", type=_NON_NEGATIVE, default=0.0, help="d2 noise sd (mm)")
     p.add_argument("--flexion-max", type=float, default=30.0)
     p.add_argument("--extension-max", type=float, default=10.0)
     p.add_argument("--rud-amplitude", type=float, default=5.0)
@@ -697,9 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory of session pairs")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-fit", type=int, help="randomly keep this many sessions for fitting")
-    p.add_argument("--generations", type=int)
-    p.add_argument("--population-size", type=int)
+    p.add_argument("--n-fit", type=_COUNT, help="randomly keep this many sessions for fitting")
+    p.add_argument("--generations", type=_COUNT)
+    p.add_argument("--population-size", type=_checked(int, lambda v: v >= 4, "an integer >= 4"))
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict d2 for sessions with a surface")
@@ -718,11 +686,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lowess-frac", type=float, default=2.0 / 3.0)
-    p.add_argument("--lowess-iterations", type=int, default=3)
+    p.add_argument("--lowess-frac", default=2.0 / 3.0,
+                   type=_checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"))
+    p.add_argument("--lowess-iterations", default=3,
+                   type=_checked(int, lambda v: v >= 0, "an integer >= 0"))
     p.add_argument(
         "--lowess-max-points",
-        type=int,
+        type=_checked(int, lambda v: v >= 3, "an integer >= 3"),
         default=2000,
         help="above this size, smooth anchors and interpolate",
     )

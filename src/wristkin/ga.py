@@ -24,18 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateDataError
 from .regression import (
-    DataPoint,
+    DataPoints,
     FitReport,
     RationalQuadricSurface,
     fit_report,
-    points_as_arrays,
     quadric_design,
 )
 
@@ -137,7 +134,8 @@ class _Problem:
         self.penalty_weight = penalty_weight
 
     @classmethod
-    def raw(cls, x, y, z, w, config: GAConfig) -> "_Problem":
+    def from_data(cls, data: DataPoints, config: GAConfig) -> "_Problem":
+        x, y = data.x, data.y
         design = quadric_design(x, y)
         gx = np.linspace(float(np.min(x)), float(np.max(x)), PENALTY_GRID)
         gy = np.linspace(float(np.min(y)), float(np.max(y)), PENALTY_GRID)
@@ -147,15 +145,10 @@ class _Problem:
             num_basis=design,
             den_basis=design[:, 1:],
             grid_den=grid[:, 1:],
-            z=z,
-            w=w,
+            z=data.z,
+            w=data.w,
             penalty_weight=config.pole_penalty_weight,
         )
-
-    @classmethod
-    def from_data(cls, data: Sequence[DataPoint], config: GAConfig) -> "_Problem":
-        x, y, z, w = points_as_arrays(data)
-        return cls.raw(x, y, z, w, config)
 
     def fitness_many(self, genes: np.ndarray) -> np.ndarray:
         """Penalized SSE for each row of an (m, 11) gene matrix."""
@@ -175,7 +168,7 @@ class _Problem:
         return float(self.fitness_many(genes.reshape(1, -1))[0])
 
 
-def fitness(chromosome: Chromosome, data: Sequence[DataPoint], config: GAConfig) -> float:
+def fitness(chromosome: Chromosome, data: DataPoints, config: GAConfig) -> float:
     """Penalized fitness of a single chromosome (SSE + pole penalty, mm^2)."""
     if len(data) == 0:
         raise ValueError("data must be non-empty")
@@ -274,7 +267,7 @@ def _step_arrays(
 
 def step_generation(
     population: list[Chromosome],
-    data: Sequence[DataPoint],
+    data: DataPoints,
     config: GAConfig,
     generation: int,
 ) -> list[Chromosome]:
@@ -402,7 +395,7 @@ def _substitute_affine(c: np.ndarray, ax: float, bx: float, ay: float, by: float
 
 
 def fit_surface(
-    data: Sequence[DataPoint], config: GAConfig = GAConfig()
+    data: DataPoints, config: GAConfig = GAConfig()
 ) -> tuple[RationalQuadricSurface, FitReport]:
     """Fit the eleven coefficients to data by minimizing penalized SSE.
 
@@ -414,7 +407,7 @@ def fit_surface(
     """
     if len(data) < 20:
         raise ValueError(f"need at least 20 data points, got {len(data)}")
-    x, y, z, w = points_as_arrays(data)
+    x, y, z, w = data.x, data.y, data.z, data.w
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise DegenerateDataError("x or y values are all identical")
     if np.ptp(z) == 0.0:

@@ -11,7 +11,8 @@ denominator (whose constant term is pinned to 1). The module also carries
 the residual statistics used to judge a fit (SSE, RMSE, standardized
 residuals, R, R^2), classic robust LOWESS smoothing, Spearman rank
 correlation, and ordinary least squares — everything the downstream
-validation and reporting steps consume.
+validation and reporting steps consume. Observations travel as one
+:class:`DataPoints` record of (x, y, z, w) columns.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DegenerateDataError, PoleError, SchemaError
+from .transforms import _flagged
 
 # evaluation refuses denominators smaller than this
 POLE_EVAL_TOL = 1e-9
@@ -164,31 +166,33 @@ def load_surface(path) -> RationalQuadricSurface:
 
 
 @dataclass(frozen=True)
-class DataPoint:
-    """One observation: x = beta3 (rad), y = beta4 (rad), z = d2 (mm), weight w."""
+class DataPoints:
+    """Observations as columns: x = beta3 (rad), y = beta4 (rad), z = d2 (mm)
+    and weights w (default 1). Construction requires 1-d columns of one
+    length, finite values and positive weights, naming the first failing
+    point; ``len`` is the number of points."""
 
-    x: float
-    y: float
-    z: float
-    w: float = 1.0
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    w: np.ndarray | None = None
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.x, self.y, self.z, self.w)):
-            raise ValueError("data point fields must be finite")
-        if self.w <= 0:
-            raise ValueError(f"weight must be positive, got {self.w}")
+        x, y, z = (np.array(v, dtype=float) for v in (self.x, self.y, self.z))
+        w = np.ones_like(x) if self.w is None else np.array(self.w, dtype=float)
+        if x.ndim != 1 or not x.shape == y.shape == z.shape == w.shape:
+            raise ValueError("x, y, z and w must be 1-d arrays of one length")
+        if bad := _flagged(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & np.isfinite(w)),
+                           "point"):
+            raise ValueError(f"{bad[1]}data point fields must be finite")
+        if bad := _flagged(w <= 0, "point"):
+            raise ValueError(f"{bad[1]}weight must be positive, got {w[bad[0]]}")
+        for name, value in (("x", x), ("y", y), ("z", z), ("w", w)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
-
-def points_as_arrays(data: Sequence[DataPoint]):
-    """(x, y, z, w) column arrays from a DataPoint sequence."""
-    n = len(data)
-    x = np.empty(n)
-    y = np.empty(n)
-    z = np.empty(n)
-    w = np.empty(n)
-    for i, pt in enumerate(data):
-        x[i], y[i], z[i], w[i] = pt.x, pt.y, pt.z, pt.w
-    return x, y, z, w
+    def __len__(self) -> int:
+        return self.x.size
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,7 @@ def standardized_residuals(residuals) -> np.ndarray:
     return eps / s
 
 
-def fit_report(surface: RationalQuadricSurface, data: Sequence[DataPoint]) -> FitReport:
+def fit_report(surface: RationalQuadricSurface, data: DataPoints) -> FitReport:
     """Evaluate ``surface`` on ``data`` and assemble the statistics.
 
     SSE and R^2 are weight-aware (weighted mean for the total sum of
@@ -252,7 +256,7 @@ def fit_report(surface: RationalQuadricSurface, data: Sequence[DataPoint]) -> Fi
     """
     if len(data) == 0:
         raise ValueError("data must be non-empty")
-    x, y, z, w = points_as_arrays(data)
+    x, y, z, w = data.x, data.y, data.z, data.w
     zhat = np.atleast_1d(surface.evaluate(x, y))
     zbar = float(w @ z) / float(w.sum())
     sst = float(w @ (z - zbar) ** 2)

@@ -2,11 +2,13 @@
 
 A session is an ordered series of end-effector poses expressed in the
 optical sensor frame L, plus the per-subject constants needed to map them
-into the wrist chain. Sessions come from two places: the documented
-CSV + JSON file pair (replacing live capture), or the synthetic generator
-that emulates the flexion-extension protocol (smooth cycles from neutral
-to extension to flexion and back, a small coupled deviation sinusoid, and
-a ground-truth surface for the translation offset d2).
+into the wrist chain. Samples are array rows, and every per-sample stage
+(synthesis, file I/O, inverse kinematics) is one batch operation. Sessions
+come from two places: the documented CSV + JSON file pair (replacing live
+capture), or the synthetic generator that emulates the flexion-extension
+protocol (smooth cycles from neutral to extension to flexion and back, a
+small coupled deviation sinusoid, and a ground-truth surface for the
+translation offset d2).
 
 File formats
 ------------
@@ -17,7 +19,8 @@ meta JSON   ``subject_id`` (str), ``a4_mm`` (> 0), ``p_lorg_mm`` (3 numbers),
             {"cycles", "duration_s"}.
 
 Numbers are written with 12 decimal places; a load/save cycle of a saved
-session is byte-identical.
+session is byte-identical. Loading checks header, columns, numbers, times
+and rotations in that order, naming the first row failing a check.
 """
 
 from __future__ import annotations
@@ -30,23 +33,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import OrientationError, OutOfReachError, SchemaError
-from .regression import DataPoint, RationalQuadricSurface
-from .transforms import Pose, invert
-from .wrist import (
-    JointState,
-    SubjectParams,
-    _ik_from_matrix,
-    forward_kinematics,
-    sensor_frame_transform,
-)
+from .errors import OrientationError, SchemaError
+from .regression import DataPoints, RationalQuadricSurface
+from .transforms import _check_rigid, _flagged, _gram_drift, invert
+from .wrist import HALF_PI, SubjectParams, _fk_arrays, _ik_arrays, sensor_frame_transform
 
 SESSION_HEADER = "t,px,py,pz,nx,ny,nz,ox,oy,oz,ax,ay,az"
 # Gram drift thresholds on loaded rotation columns: below KEEP the matrix is
 # stored bit-for-bit, up to REPAIR it is SVD-projected, beyond it is rejected.
 DRIFT_KEEP = 1e-9
 DRIFT_REPAIR = 1e-3
-_FMT = "{:.12f}"
+_ROW_FORMAT = ",".join(["%.12f"] * 13)
 
 
 @dataclass(frozen=True)
@@ -57,63 +54,71 @@ class SessionProtocol:
 
 @dataclass(frozen=True)
 class TrackingSession:
-    """Timestamped sensor-frame poses plus subject constants."""
+    """Timestamped sensor-frame poses plus subject constants, one row per
+    sample: ``times`` (n,) s, rotations ``r`` (n, 3, 3) with columns n, o, a
+    and positions ``p`` (n, 3) mm. Every row must pass the checks of
+    :class:`~wristkin.transforms.Pose`, and times must increase."""
 
     subject: SubjectParams
     times: np.ndarray
-    poses: tuple[Pose, ...]
+    r: np.ndarray
+    p: np.ndarray
     protocol: SessionProtocol | None = None
     handedness: str = "right"
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        poses = tuple(self.poses)
-        if times.ndim != 1 or times.size != len(poses):
-            raise ValueError("times and poses must have matching lengths")
-        if times.size and np.any(np.diff(times) <= 0.0):
+        times, r, p = (np.array(v, dtype=float) for v in (self.times, self.r, self.p))
+        n = times.size
+        if times.ndim != 1 or r.shape != (n, 3, 3) or p.shape != (n, 3):
+            raise ValueError("times (n,), r (n, 3, 3) and p (n, 3) must have matching lengths")
+        _check_rigid(r, p)
+        if np.any(np.diff(times) <= 0.0):
             raise ValueError("timestamps must be strictly increasing")
         if self.handedness not in ("left", "right"):
             raise ValueError(f"handedness must be 'left' or 'right', got {self.handedness!r}")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "poses", poses)
+        for name, value in (("times", times), ("r", r), ("p", p)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.poses)
-
-    @property
-    def samples(self) -> list[tuple[float, Pose]]:
-        return list(zip(self.times.tolist(), self.poses))
+        return self.times.size
 
 
 @dataclass(frozen=True)
 class JointSeries:
-    """Joint states aligned 1:1 with a session's samples."""
+    """Joint values aligned 1:1 with a session's samples: ``theta3``,
+    ``theta4`` (rad) and ``d2`` (mm) arrays over ``times``. Every sample must
+    pass the checks of :class:`~wristkin.wrist.JointState`, each failure
+    naming the first failing sample."""
 
     times: np.ndarray
-    states: tuple[JointState, ...]
+    theta3: np.ndarray
+    theta4: np.ndarray
+    d2: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        if times.size != len(self.states):
-            raise ValueError("times and states must have matching lengths")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
+        names = ("times", "theta3", "theta4", "d2")
+        times, theta3, theta4, d2 = (np.array(getattr(self, k), dtype=float) for k in names)
+        if times.ndim != 1 or not times.shape == theta3.shape == theta4.shape == d2.shape:
+            raise ValueError("times, theta3, theta4 and d2 must be 1-d arrays of one length")
+        if bad := _flagged(~(np.isfinite(theta3) & np.isfinite(theta4) & np.isfinite(d2))):
+            raise ValueError(f"{bad[1]}joint state must be finite")
+        if bad := _flagged(np.abs(theta4) > HALF_PI):
+            raise ValueError(f"{bad[1]}theta4 {theta4[bad[0]]} outside [-pi/2, pi/2]")
+        for name, value in zip(names, (times, theta3, theta4, d2)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.times.size
 
     @property
     def beta3(self) -> np.ndarray:
-        return np.array([s.beta3 for s in self.states])
+        return self.theta3 + HALF_PI
 
     @property
     def beta4(self) -> np.ndarray:
-        return np.array([s.beta4 for s in self.states])
-
-    @property
-    def d2(self) -> np.ndarray:
-        return np.array([s.d2 for s in self.states])
+        return self.theta4
 
 
 @dataclass(frozen=True)
@@ -195,24 +200,48 @@ def _parse_meta(meta_file) -> tuple[SubjectParams, SessionProtocol | None, str]:
     return subject, protocol, handedness
 
 
-def _rotation_from_row(vals: Sequence[float], where: str) -> np.ndarray:
-    r = np.array(
-        [
-            [vals[0], vals[3], vals[6]],
-            [vals[1], vals[4], vals[7]],
-            [vals[2], vals[5], vals[8]],
-        ]
-    )
-    det = float(np.linalg.det(r))
-    if det <= 0.0:
-        raise OrientationError(f"{where}: rotation is a reflection (det = {det:.6f})")
-    drift = float(np.abs(r.T @ r - np.eye(3)).max())
-    if drift > DRIFT_REPAIR:
-        raise OrientationError(f"{where}: orientation drift {drift:.3e} exceeds {DRIFT_REPAIR}")
-    if drift > DRIFT_KEEP:
-        u, _, vt = np.linalg.svd(r)
-        r = u @ vt
-    return r
+def _parse_data(data_file) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times (n,), rotations (n, 3, 3) and positions (n, 3) of a session
+    data CSV, checked and drift-repaired as :func:`load_session` describes."""
+    lines = Path(data_file).read_text().splitlines()
+    if not lines or lines[0] != SESSION_HEADER:
+        raise SchemaError(f"{data_file}: first line must be '{SESSION_HEADER}'")
+    rows = lines[1:]
+    if not rows:
+        raise SchemaError(f"{data_file}: no samples")
+    row = f"{data_file} row"
+    width = np.char.count(rows, ",") + 1
+    if bad := _flagged(width != 13, row):
+        raise SchemaError(f"{bad[1]}expected 13 columns, got {width[bad[0]]}")
+    try:
+        values = np.array(",".join(rows).split(","), dtype=float).reshape(-1, 13)
+    except ValueError:
+        for i, line in enumerate(rows):  # error path only: name the row
+            try:
+                np.array(line.split(","), dtype=float)
+            except ValueError as exc:
+                raise SchemaError(f"{row} {i}: non-numeric field ({exc})") from exc
+        raise
+    if bad := _flagged(~np.isfinite(values).all(axis=1), row):
+        raise SchemaError(f"{bad[1]}non-finite field")
+    times = values[:, 0]
+    if bad := _flagged(np.diff(times, prepend=-np.inf) <= 0.0, row):
+        i, where = bad
+        raise SchemaError(f"{where}monotonicity violated (t = {times[i]} after {times[i - 1]})")
+    # fields n, o, a of each row are the columns of its rotation
+    r = values[:, 4:13].reshape(-1, 3, 3).transpose(0, 2, 1).copy()
+    det = np.linalg.det(r)
+    if bad := _flagged(det <= 0.0, row):
+        raise OrientationError(f"{bad[1]}rotation is a reflection (det = {det[bad[0]]:.6f})")
+    drift = _gram_drift(r)
+    if bad := _flagged(drift > DRIFT_REPAIR, row):
+        i, where = bad
+        raise OrientationError(f"{where}orientation drift {drift[i]:.3e} exceeds {DRIFT_REPAIR}")
+    repair = drift > DRIFT_KEEP
+    if repair.any():
+        u, _, vt = np.linalg.svd(r[repair])
+        r[repair] = u @ vt
+    return times, r, values[:, 1:4]
 
 
 def load_session(data_file, meta_file) -> TrackingSession:
@@ -224,55 +253,18 @@ def load_session(data_file, meta_file) -> TrackingSession:
     SchemaError.
     """
     subject, protocol, handedness = _parse_meta(meta_file)
-    text = Path(data_file).read_text()
-    lines = text.splitlines()
-    if not lines or lines[0] != SESSION_HEADER:
-        raise SchemaError(f"{data_file}: first line must be '{SESSION_HEADER}'")
-    if len(lines) < 2:
-        raise SchemaError(f"{data_file}: no samples")
-    times = []
-    poses = []
-    prev_t = -math.inf
-    for idx, line in enumerate(lines[1:]):
-        where = f"{data_file} row {idx}"
-        parts = line.split(",")
-        if len(parts) != 13:
-            raise SchemaError(f"{where}: expected 13 columns, got {len(parts)}")
-        try:
-            vals = [float(v) for v in parts]
-        except ValueError as exc:
-            raise SchemaError(f"{where}: non-numeric field ({exc})") from exc
-        if not all(math.isfinite(v) for v in vals):
-            raise SchemaError(f"{where}: non-finite field")
-        t = vals[0]
-        if t <= prev_t:
-            raise SchemaError(f"{where}: monotonicity violated (t = {t} after {prev_t})")
-        prev_t = t
-        r = _rotation_from_row(vals[4:13], where)
-        poses.append(Pose(r, np.array(vals[1:4])))
-        times.append(t)
+    times, r, p = _parse_data(data_file)
     return TrackingSession(
-        subject=subject,
-        times=np.array(times),
-        poses=tuple(poses),
-        protocol=protocol,
-        handedness=handedness,
+        subject=subject, times=times, r=r, p=p, protocol=protocol, handedness=handedness
     )
 
 
 def save_session(session: TrackingSession, data_file, meta_file) -> None:
     """Write the canonical file pair (12-decimal fixed formatting)."""
-    rows = [SESSION_HEADER]
-    for t, pose in zip(session.times, session.poses):
-        vals = [
-            t,
-            *pose.p,
-            *pose.r[:, 0],
-            *pose.r[:, 1],
-            *pose.r[:, 2],
-        ]
-        rows.append(",".join(_FMT.format(v) for v in vals))
-    Path(data_file).write_text("\n".join(rows) + "\n")
+    n = len(session)
+    table = np.column_stack([session.times, session.p, session.r.transpose(0, 2, 1).reshape(n, 9)])
+    text = "\n".join([SESSION_HEADER] + [_ROW_FORMAT] * n) % tuple(table.ravel().tolist())
+    Path(data_file).write_text(text + "\n")
 
     meta = {
         "subject_id": session.subject.subject_id,
@@ -291,32 +283,22 @@ def save_session(session: TrackingSession, data_file, meta_file) -> None:
 def derive_joint_series(session: TrackingSession) -> JointSeries:
     """Map every sample to joint space: sensor frame -> base frame -> IK.
 
-    Errors from unreachable or malformed samples are re-raised with the
-    offending sample index.
+    Unreachable or malformed samples raise OutOfReachError or
+    OrientationError naming the first offending sample index.
     """
     base = sensor_frame_transform(session.subject)
-    r0, p0 = base.r, base.p
-    a4 = session.subject.a4
-    states = []
-    for idx, pose in enumerate(session.poses):
-        r = r0 @ pose.r
-        p = r0 @ pose.p + p0
-        try:
-            states.append(_ik_from_matrix(r, p, a4))
-        except (OutOfReachError, OrientationError) as exc:
-            raise type(exc)(f"sample {idx}: {exc}") from exc
-    return JointSeries(times=session.times, states=tuple(states))
+    joints = _ik_arrays(base.r @ session.r, session.p @ base.r.T + base.p, session.subject.a4)
+    return JointSeries(session.times, *joints)
 
 
-def to_data_points(series: JointSeries | Iterable[JointSeries]) -> list[DataPoint]:
-    """Flatten joint series into (beta3, beta4, d2) regression points."""
-    if isinstance(series, JointSeries):
-        series = [series]
-    points = []
-    for s in series:
-        for state in s.states:
-            points.append(DataPoint(x=state.beta3, y=state.beta4, z=state.d2))
-    return points
+def to_data_points(series: JointSeries | Iterable[JointSeries]) -> DataPoints:
+    """Flatten joint series into one (beta3, beta4, d2) regression record."""
+    series = [series] if isinstance(series, JointSeries) else list(series)
+    return DataPoints(
+        x=np.concatenate([np.empty(0)] + [s.beta3 for s in series]),
+        y=np.concatenate([np.empty(0)] + [s.beta4 for s in series]),
+        z=np.concatenate([np.empty(0)] + [s.d2 for s in series]),
+    )
 
 
 def _beta4_trajectory(t: np.ndarray, cycles: int, duration: float,
@@ -359,16 +341,14 @@ def synthesize_session(config: SyntheticConfig, subject_index: int) -> TrackingS
     if config.noise_sigma_mm > 0.0:
         d2 = d2 + rng.normal(0.0, config.noise_sigma_mm, n)
 
+    series = JointSeries(times=t, theta3=theta3, theta4=theta4, d2=d2)
+    r, p = _fk_arrays(series.theta3, series.theta4, series.d2, a4)
     to_sensor = invert(sensor_frame_transform(subject))
-    poses = []
-    for k in range(n):
-        state = JointState(theta3=float(theta3[k]), theta4=float(theta4[k]), d2=float(d2[k]))
-        fk = forward_kinematics(state, subject)
-        poses.append(Pose(to_sensor.r @ fk.r, to_sensor.r @ fk.p + to_sensor.p))
     return TrackingSession(
         subject=subject,
         times=t,
-        poses=tuple(poses),
+        r=to_sensor.r @ r,
+        p=p @ to_sensor.r.T + to_sensor.p,
         protocol=SessionProtocol(cycles=config.cycles_per_subject, duration_s=config.duration_s),
     )
 
@@ -415,6 +395,13 @@ class ValidationSummary:
     n_total: int
 
 
+def _session_predictions(surface: RationalQuadricSurface, sessions):
+    """Yield (session, joint series, predicted d2) per session."""
+    for session in sessions:
+        series = derive_joint_series(session)
+        yield session, series, np.asarray(surface.evaluate(series.beta3, series.beta4), dtype=float)
+
+
 # samples with |d2| below this are excluded from the percentage error
 PCT_ERROR_MIN_D2 = 1.0
 
@@ -432,12 +419,10 @@ def validation_stats(
         raise ValueError("no sessions given")
     per_subject = []
     pooled = []
-    for session in sessions:
+    for session, series, predicted in _session_predictions(surface, sessions):
         if len(session) == 0:
             raise ValueError(f"session {session.subject.subject_id!r} has no samples")
-        series = derive_joint_series(session)
         observed = series.d2
-        predicted = np.asarray(surface.evaluate(series.beta3, series.beta4), dtype=float)
         residual = predicted - observed
         mask = np.abs(observed) >= PCT_ERROR_MIN_D2
         if mask.any():

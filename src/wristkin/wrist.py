@@ -18,6 +18,9 @@ which makes the inverse closed-form as well:
 
 Tracked data arrives in the optical sensor frame L; ``sensor_to_base``
 applies the fixed mounting rotation plus the measured sensor origin.
+
+``_fk_arrays`` and ``_ik_arrays`` evaluate the closed forms on one pose or
+a batch; the single-pose functions call them, so both agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OrientationError, OutOfReachError
-from .transforms import DHRow, Pose, compose, dh_link_transform
+from .transforms import DHRow, Pose, _flagged, compose, dh_link_transform
 
 HALF_PI = math.pi / 2.0
 
@@ -61,7 +64,7 @@ class JointState:
     d2: float
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.theta3, self.theta4, self.d2)):
+        if not all(map(math.isfinite, (self.theta3, self.theta4, self.d2))):
             raise ValueError("joint state must be finite")
         if not -HALF_PI <= self.theta4 <= HALF_PI:
             raise ValueError(f"theta4 {self.theta4} outside [-pi/2, pi/2]")
@@ -110,24 +113,28 @@ def link_transforms(state: JointState, subject: SubjectParams) -> list[Pose]:
     return [dh_link_transform(row) for row in dh_rows(state, subject)]
 
 
+def _fk_arrays(theta3, theta4, d2, a4: float) -> tuple[np.ndarray, np.ndarray]:
+    """Base-frame fingertip rotations (..., 3, 3) and positions (..., 3) of
+    joint values given as scalars or as arrays of one shape."""
+    c3, s3 = np.cos(theta3), np.sin(theta3)
+    c4, s4 = np.cos(theta4), np.sin(theta4)
+    px = d2 - a4 * s3 * c4
+    r = np.empty(np.shape(px) + (3, 3))
+    r[..., 0, 0], r[..., 0, 1], r[..., 0, 2] = -s3 * c4, s3 * s4, c3
+    r[..., 1, 0], r[..., 1, 1], r[..., 1, 2] = c3 * c4, -c3 * s4, s3
+    r[..., 2, 0], r[..., 2, 1], r[..., 2, 2] = s4, c4, 0.0
+    p = np.empty(np.shape(px) + (3,))
+    p[..., 0], p[..., 1], p[..., 2] = px, a4 * c3 * c4, a4 * s4
+    return r, p
+
+
 def forward_kinematics(state: JointState, subject: SubjectParams) -> Pose:
     """Fingertip pose in the base frame, closed form.
 
     Equal to the composed product of :func:`link_transforms` to within
     1e-12 elementwise.
     """
-    c3, s3 = np.cos(state.theta3), np.sin(state.theta3)
-    c4, s4 = np.cos(state.theta4), np.sin(state.theta4)
-    a4 = subject.a4
-    r = np.array(
-        [
-            [-s3 * c4, s3 * s4, c3],
-            [c3 * c4, -c3 * s4, s3],
-            [s4, c4, 0.0],
-        ]
-    )
-    p = np.array([state.d2 - a4 * s3 * c4, a4 * c3 * c4, a4 * s4])
-    return Pose(r, p)
+    return Pose(*_fk_arrays(state.theta3, state.theta4, state.d2, subject.a4))
 
 
 def sensor_frame_transform(subject: SubjectParams) -> Pose:
@@ -140,19 +147,23 @@ def sensor_to_base(pose_in_L: Pose, subject: SubjectParams) -> Pose:
     return compose(sensor_frame_transform(subject), pose_in_L)
 
 
-def _arcsin_checked(value: float, what: str, exc: type[Exception]) -> float:
-    if abs(value) > 1.0 + ARCSIN_SLACK:
-        raise exc(f"{what} = {value!r} outside arcsin domain")
-    return math.asin(min(1.0, max(-1.0, value)))
+def _arcsin_checked(value, what: str, exc: type[Exception]):
+    if bad := _flagged(np.abs(value) > 1.0 + ARCSIN_SLACK):
+        i, where = bad
+        raise exc(f"{where}{what} = {float(value[i])!r} outside arcsin domain")
+    return np.arcsin(np.minimum(np.maximum(value, -1.0), 1.0))
 
 
-def _ik_from_matrix(r: np.ndarray, p: np.ndarray, a4: float) -> JointState:
-    # shared by inverse_kinematics and the bulk session path so both produce
-    # bit-identical results
-    theta4 = _arcsin_checked(p[2] / a4, "p_z / a4", OutOfReachError)
-    theta3 = _arcsin_checked(r[1, 2], "a_y", OrientationError)
-    d2 = p[0] - a4 * r[0, 0]
-    return JointState(theta3=theta3, theta4=theta4, d2=d2)
+def _ik_arrays(r: np.ndarray, p: np.ndarray, a4: float):
+    """(theta3, theta4, d2) of one base-frame pose, r (3, 3) and p (3,), or
+    of a batch, r (n, 3, 3) and p (n, 3)."""
+    # indexing the transposes yields numpy scalars for one pose (cheap
+    # arithmetic) and sample columns for a batch
+    rt, pt = r.T, p.T
+    theta4 = _arcsin_checked(pt[2] / a4, "p_z / a4", OutOfReachError)
+    theta3 = _arcsin_checked(rt[2, 1], "a_y", OrientationError)
+    d2 = pt[0] - a4 * rt[0, 0]
+    return theta3, theta4, d2
 
 
 def inverse_kinematics(pose_in_base: Pose, subject: SubjectParams) -> JointState:
@@ -162,4 +173,5 @@ def inverse_kinematics(pose_in_base: Pose, subject: SubjectParams) -> JointState
     OrientationError when ``|a_y| > 1 + 1e-9``; arguments inside the
     tolerance band are clamped to [-1, 1].
     """
-    return _ik_from_matrix(pose_in_base.r, pose_in_base.p, subject.a4)
+    theta3, theta4, d2 = _ik_arrays(pose_in_base.r, pose_in_base.p, subject.a4)
+    return JointState(theta3=float(theta3), theta4=float(theta4), d2=float(d2))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from wristkin import (
-    DataPoint,
+    DataPoints,
     GAConfig,
     JointState,
     RationalQuadricSurface,
@@ -114,7 +114,7 @@ def test_criterion_04_statistic_identities():
         n = int(rng.integers(3, 60))
         x, y = rng.uniform(-1, 1, (2, n))
         z = np.asarray(surface.evaluate(x, y)) + rng.normal(0, 1.0, n)
-        report = fit_report(surface, [DataPoint(*t) for t in zip(x, y, z)])
+        report = fit_report(surface, DataPoints(x, y, z))
         worst_rmse_gap = max(worst_rmse_gap, abs(report.rmse**2 * n - report.sse))
         zhat = np.asarray(surface.evaluate(x, y))
         sse = math.fsum((zi - hi) ** 2 for zi, hi in zip(z, zhat))
@@ -125,7 +125,7 @@ def test_criterion_04_statistic_identities():
     x, y = rng.uniform(-1, 1, (2, 25))
     base = RationalQuadricSurface([2.0, 1.0, -1.0, 0, 0, 0], [0.0] * 5)
     z = np.asarray(base.evaluate(x, y))
-    perfect = fit_report(base, [DataPoint(*t) for t in zip(x, y, z)])
+    perfect = fit_report(base, DataPoints(x, y, z))
     _report(
         4,
         worst_rmse_gap < 1e-10 and worst_r2_gap < 1e-10 and perfect.r_squared == 1.0,
@@ -246,7 +246,7 @@ def test_criterion_10_ga_convergence_log():
     x = rng.uniform(1.45, 1.70, 120)
     y = rng.uniform(-0.2, 0.55, 120)
     z = np.asarray(TRUTH.evaluate(x, y)) + rng.normal(0, 0.5, 120)
-    data = [DataPoint(*t) for t in zip(x, y, z)]
+    data = DataPoints(x, y, z)
     config = GAConfig(seed=10, generations=5000)
     lo, hi = config.coefficient_bounds
     population = step_generation(initial_population(config), data, config, 0)

@@ -180,6 +180,32 @@ class TestCheck:
         weird.write_text("a,b\n1,2\n")
         assert run(["check", str(weird)]) == 3
 
+    def test_validate_report(self, data_dir, tmp_path, steep_truth, capsys):
+        surface_path = tmp_path / "s.json"
+        save_surface(steep_truth, surface_path)
+        out = tmp_path / "val"
+        assert run(["validate", "--surface", str(surface_path), "--data", str(data_dir),
+                    "--out", str(out)]) == 0
+        report = out / "validate_report.json"
+        assert run(["check", str(report)]) == 0
+        assert "OK" in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        for key, value in (("n_total", 0), ("n_subjects", 1.5), ("pooled_sd_mm", "x")):
+            report.write_text(json.dumps({**payload, key: value}))
+            assert run(["check", str(report)]) == 3
+            assert key in capsys.readouterr().err
+
+    def test_session_without_metadata_uses_loader_checks(self, data_dir, capsys):
+        csv = data_dir / "subject_00.csv"
+        (data_dir / "subject_00.meta.json").unlink()
+        assert run(["check", str(csv)]) == 0
+        assert "no metadata" in capsys.readouterr().out
+        lines = csv.read_text().splitlines()
+        lines[3] = lines[2]  # repeated timestamp
+        csv.write_text("\n".join(lines) + "\n")
+        assert run(["check", str(csv)]) == 3
+        assert "row 2: monotonicity violated" in capsys.readouterr().err
+
     def test_rejects_corrupt_session_rows(self, data_dir, capsys):
         csv = data_dir / "subject_00.csv"
         text = csv.read_text().splitlines()
@@ -188,7 +214,36 @@ class TestCheck:
         assert run(["check", str(csv)]) == 3
 
 
+# out-of-range count, size and rate arguments, one per flag
+OUT_OF_RANGE = [
+    ["synth", "--subjects", "0"],
+    ["synth", "--cycles", "-1"],
+    ["synth", "--duration", "-1"],
+    ["synth", "--duration", "inf"],
+    ["synth", "--sample-rate", "0"],
+    ["synth", "--noise-sigma", "-0.5"],
+    ["synth", "--noise-sigma", "nan"],
+    ["fit", "--data", "d", "--generations", "0"],
+    ["fit", "--data", "d", "--population-size", "2"],
+    ["fit", "--data", "d", "--n-fit", "0"],
+    ["residuals", "--surface", "s", "--data", "d", "--lowess-frac", "0"],
+    ["residuals", "--surface", "s", "--data", "d", "--lowess-frac", "1.5"],
+    ["residuals", "--surface", "s", "--data", "d", "--lowess-iterations", "-1"],
+    ["residuals", "--surface", "s", "--data", "d", "--lowess-max-points", "2"],
+    ["synth", "--subjects", "three"],
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda argv: " ".join(argv[-2:]))
+    def test_out_of_range_argument_is_usage_error(self, argv, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("wristkin ") and "error: argument " + argv[-2] in line
+                   for line in err.splitlines())
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error(self, capsys):
         assert run([]) == 2
         assert run(["fk", "--theta3-deg", "0"]) == 2  # missing required flags

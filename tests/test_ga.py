@@ -5,7 +5,7 @@ import pytest
 
 from wristkin import (
     Chromosome,
-    DataPoint,
+    DataPoints,
     DegenerateDataError,
     GAConfig,
     RationalQuadricSurface,
@@ -26,7 +26,7 @@ def planar_points(rng, n=300, noise=0.0):
     z = np.asarray(truth.evaluate(x, y))
     if noise:
         z = z + rng.normal(0, noise, n)
-    return truth, x, y, [DataPoint(*t) for t in zip(x, y, z)]
+    return truth, x, y, DataPoints(x, y, z)
 
 
 class TestFitness:
@@ -37,7 +37,7 @@ class TestFitness:
 
     def test_mean_predictor_scores_sst(self, rng):
         _, x, y, data = planar_points(rng, 120)
-        z = np.array([p.z for p in data])
+        z = data.z
         chrom = Chromosome(
             RationalQuadricSurface([z.mean(), 0, 0, 0, 0, 0], [0.0] * 5).coefficients
         )
@@ -54,14 +54,14 @@ class TestFitness:
         x = np.array([0.0] * 10 + [1.0] * 10)
         y = np.linspace(-1, 1, 20)
         z = np.asarray(surface.evaluate(x, y))
-        data = [DataPoint(*t) for t in zip(x, y, z)]
+        data = DataPoints(x, y, z)
         config = GAConfig()
         value = fitness(Chromosome(surface.coefficients), data, config)
         assert value >= config.pole_penalty_weight
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            fitness(Chromosome(np.zeros(11)), [], GAConfig())
+            fitness(Chromosome(np.zeros(11)), DataPoints([], [], []), GAConfig())
 
 
 class TestStepGeneration:
@@ -154,7 +154,7 @@ class TestFitSurface:
 
     def test_degenerate_inputs_rejected(self, rng):
         z = rng.normal(0, 1, 30)
-        data = [DataPoint(1.5, float(v), float(w)) for v, w in zip(np.linspace(0, 1, 30), z)]
+        data = DataPoints(np.full(30, 1.5), np.linspace(0, 1, 30), z)
         with pytest.raises(DegenerateDataError):
             fit_surface(data, GAConfig(seed=0))
 

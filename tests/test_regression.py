@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wristkin import (
-    DataPoint,
+    DataPoints,
     DegenerateDataError,
     PoleError,
     RationalQuadricSurface,
@@ -21,8 +21,7 @@ from wristkin import (
 
 
 def make_points(x, y, z, w=None):
-    w = np.ones_like(np.asarray(z, dtype=float)) if w is None else w
-    return [DataPoint(*t) for t in zip(x, y, z, w)]
+    return DataPoints(x, y, z, w)
 
 
 class TestSurfaceEvaluate:
@@ -237,13 +236,35 @@ class TestLinearRegression:
 
 
 class TestDataPoint:
+    """Validation of the DataPoints record: weights, finiteness, shapes."""
+
     def test_default_weight(self):
-        assert DataPoint(0.0, 0.0, 1.0).w == 1.0
+        points = DataPoints([0.0, 1.0], [0.0, 0.5], [1.0, 2.0])
+        assert np.array_equal(points.w, [1.0, 1.0])
+        assert len(points) == 2
 
     def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            DataPoint(0.0, 0.0, 1.0, w=0.0)
+        with pytest.raises(ValueError, match="point 1: weight must be positive"):
+            DataPoints([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], w=[1.0, 0.0])
+        with pytest.raises(ValueError, match="weight"):
+            DataPoints([0.0], [0.0], [1.0], w=[-2.0])
 
     def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="point 0: data point fields must be finite"):
+            DataPoints([math.nan, 0.0], [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="point 1"):
+            DataPoints([0.0, 0.0], [0.0, 0.0], [1.0, math.inf])
+
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError, match="one length"):
+            DataPoints([0.0, 1.0], [0.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="one length"):
+            DataPoints(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_columns_are_frozen_copies(self):
+        x = np.array([0.0, 1.0])
+        points = DataPoints(x, [0.0, 0.0], [1.0, 2.0])
+        x[0] = 5.0
+        assert points.x[0] == 0.0
         with pytest.raises(ValueError):
-            DataPoint(math.nan, 0.0, 1.0)
+            points.z[0] = 3.0

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from wristkin import (
+    JointSeries,
+    JointState,
     OrientationError,
     OutOfReachError,
     Pose,
@@ -13,6 +15,9 @@ from wristkin import (
     SyntheticConfig,
     TrackingSession,
     derive_joint_series,
+    forward_kinematics,
+    inverse_kinematics,
+    sensor_to_base,
     load_session,
     save_session,
     subject_split,
@@ -22,6 +27,7 @@ from wristkin import (
     validation_stats,
 )
 from wristkin.sessions import SESSION_HEADER
+from wristkin.wrist import _fk_arrays
 
 
 def small_config(truth, **kwargs):
@@ -65,7 +71,8 @@ class TestLoadSession:
         assert len(session) == 3
         assert session.subject.a4 == 100.0
         assert session.subject.subject_id == "t"
-        assert np.allclose(session.poses[1].p, [1.5, 2.0, 3.0])
+        assert np.allclose(session.p[1], [1.5, 2.0, 3.0])
+        assert np.array_equal(session.r, np.broadcast_to(np.eye(3), (3, 3, 3)))
 
     def test_duplicate_timestamp(self, tmp_path):
         rows = [IDENTITY_ROW, IDENTITY_ROW]
@@ -86,7 +93,7 @@ class TestLoadSession:
         # 1e-4 drift: inside the repair band, outside the keep band
         rows = ["0.0,0,0,0,1.0001,0,0,0,1,0,0,0,1"]
         session = load_session(*write_session_files(tmp_path, rows))
-        r = session.poses[0].r
+        r = session.r[0]
         assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-9
 
     def test_wrong_header(self, tmp_path):
@@ -157,8 +164,8 @@ class TestSynthesize:
         a = synthesize_session(config, 2)
         b = synthesize_session(config, 2)
         assert np.array_equal(a.times, b.times)
-        for pa, pb in zip(a.poses, b.poses):
-            assert np.array_equal(pa.as_matrix(), pb.as_matrix())
+        assert np.array_equal(a.r, b.r)
+        assert np.array_equal(a.p, b.p)
         assert a.subject.a4 == b.subject.a4
 
     def test_subjects_differ(self, steep_truth):
@@ -219,20 +226,42 @@ class TestDeriveJointSeries:
         config = small_config(steep_truth, rud_amplitude=0.0)
         session = synthesize_session(config, 0)
         series = derive_joint_series(session)
-        assert abs(series.states[0].theta3) < 1e-12
-        assert abs(series.states[0].theta4) < 1e-12
+        assert abs(series.theta3[0]) < 1e-12
+        assert abs(series.theta4[0]) < 1e-12
         expected = steep_truth.evaluate(math.pi / 2, 0.0)
-        assert series.states[0].d2 == pytest.approx(expected, abs=1e-9)
+        assert series.d2[0] == pytest.approx(expected, abs=1e-9)
 
     def test_out_of_reach_names_sample(self):
         subject = SubjectParams(a4=100.0, p_lorg=np.zeros(3), subject_id="x")
-        good = Pose(np.eye(3), np.array([0.0, 10.0, 0.0]))
-        bad = Pose(np.eye(3), np.array([0.0, 300.0, 0.0]))  # base p_z = 300 > a4
         session = TrackingSession(
-            subject=subject, times=np.array([0.0, 0.1]), poses=(good, bad)
+            subject=subject,
+            times=np.array([0.0, 0.1]),
+            r=np.stack([np.eye(3), np.eye(3)]),
+            p=np.array([[0.0, 10.0, 0.0], [0.0, 300.0, 0.0]]),  # base p_z = 300 > a4
         )
         with pytest.raises(OutOfReachError, match="sample 1"):
             derive_joint_series(session)
+
+    def test_single_pose_api_matches_batch_bit_for_bit(self, steep_truth):
+        # one FK/IK implementation: the scalar functions reproduce each
+        # batch row exactly, not just within a tolerance
+        config = small_config(steep_truth, noise_sigma_mm=0.5, rud_amplitude=0.3,
+                              flexion_max=1.2)
+        session = synthesize_session(config, 2)
+        subject = session.subject
+        series = derive_joint_series(session)
+        fk_r, fk_p = _fk_arrays(series.theta3, series.theta4, series.d2, subject.a4)
+        for k in range(len(session)):
+            state = inverse_kinematics(
+                sensor_to_base(Pose(session.r[k], session.p[k]), subject), subject
+            )
+            assert (state.theta3, state.theta4, state.d2) == (
+                series.theta3[k], series.theta4[k], series.d2[k]
+            )
+            pose = forward_kinematics(
+                JointState(series.theta3[k], series.theta4[k], series.d2[k]), subject
+            )
+            assert np.array_equal(pose.r, fk_r[k]) and np.array_equal(pose.p, fk_p[k])
 
     def test_alignment(self, steep_truth):
         session = synthesize_session(small_config(steep_truth), 0)
@@ -245,10 +274,14 @@ class TestDeriveJointSeries:
         series = derive_joint_series(session)
         pts = to_data_points(series)
         assert len(pts) == len(series)
-        assert pts[0].x == series.states[0].beta3
-        assert pts[0].y == series.states[0].beta4
-        assert pts[0].z == series.states[0].d2
-        assert pts[0].w == 1.0
+        assert np.array_equal(pts.x, series.beta3)
+        assert np.array_equal(pts.y, series.beta4)
+        assert np.array_equal(pts.z, series.d2)
+        assert np.array_equal(pts.w, np.ones(len(series)))
+        both = to_data_points([series, series])
+        assert len(both) == 2 * len(series)
+        assert np.array_equal(both.z[len(series):], series.d2)
+        assert len(to_data_points([])) == 0
 
 
 class TestSubjectSplit:
@@ -328,15 +361,53 @@ class TestValidationStats:
 
 class TestTrackingSessionInvariants:
     def test_times_must_increase(self, subject):
-        pose = Pose(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):
             TrackingSession(
-                subject=subject, times=np.array([0.0, 0.0]), poses=(pose, pose)
+                subject=subject, times=np.array([0.0, 0.0]),
+                r=np.stack([np.eye(3), np.eye(3)]), p=np.zeros((2, 3)),
             )
 
     def test_handedness_checked(self, subject):
-        pose = Pose(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):
             TrackingSession(
-                subject=subject, times=np.array([0.0]), poses=(pose,), handedness="x"
+                subject=subject, times=np.array([0.0]), r=np.eye(3)[None], p=np.zeros((1, 3)),
+                handedness="x",
             )
+
+    @pytest.mark.parametrize(
+        "bad_r, bad_p, match",
+        [
+            (np.diag([1.0, 1.0, -1.0]), np.zeros(3), "rotation determinant"),
+            (np.diag([1.0 + 1e-6, 1.0, 1.0]), np.zeros(3), "rotation not orthonormal"),
+            (np.eye(3), np.array([0.0, np.nan, 0.0]), "pose entries must be finite"),
+        ],
+    )
+    def test_rows_checked_like_pose(self, subject, bad_r, bad_p, match):
+        with pytest.raises(ValueError, match=match):
+            Pose(bad_r, bad_p)
+        with pytest.raises(ValueError, match=f"sample 1: {match}"):
+            TrackingSession(
+                subject=subject, times=np.array([0.0, 0.1, 0.2]),
+                r=np.stack([np.eye(3), bad_r, bad_r]), p=np.stack([np.zeros(3), bad_p, bad_p]),
+            )
+
+    def test_shapes_checked(self, subject):
+        with pytest.raises(ValueError, match="matching lengths"):
+            TrackingSession(subject=subject, times=np.array([0.0, 0.1]),
+                            r=np.eye(3)[None], p=np.zeros((2, 3)))
+
+
+class TestJointSeriesInvariants:
+    def test_samples_checked_like_joint_state(self):
+        t = np.array([0.0, 0.1, 0.2])
+        with pytest.raises(ValueError, match="sample 2: theta4"):
+            JointSeries(times=t, theta3=np.zeros(3), theta4=[0.0, 0.1, 2.0], d2=np.zeros(3))
+        with pytest.raises(ValueError, match="sample 1: joint state must be finite"):
+            JointSeries(times=t, theta3=[0.0, np.inf, 0.0], theta4=np.zeros(3), d2=np.zeros(3))
+        with pytest.raises(ValueError, match="one length"):
+            JointSeries(times=t, theta3=np.zeros(2), theta4=np.zeros(3), d2=np.zeros(3))
+
+    def test_beta_coupling(self):
+        series = JointSeries(times=[0.0], theta3=[0.123], theta4=[0.2], d2=[5.0])
+        assert series.beta3[0] == 0.123 + math.pi / 2
+        assert series.beta4[0] == 0.2

@@ -174,13 +174,13 @@ class TestInverseKinematics:
 
     def test_malformed_orientation(self, subject):
         # a_y exceeds 1 only through a broken rotation, which Pose rejects;
-        # drive the shared matrix path directly instead
-        from wristkin.wrist import _ik_from_matrix
+        # drive the shared array path directly instead
+        from wristkin.wrist import _ik_arrays
 
         r = np.eye(3)
         r[1, 2] = 1.0 + 1e-6
         with pytest.raises(OrientationError):
-            _ik_from_matrix(r, np.zeros(3), subject.a4)
+            _ik_arrays(r, np.zeros(3), subject.a4)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
