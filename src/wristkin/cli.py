@@ -8,7 +8,8 @@ timestamps, so reruns are byte-identical). Angles are degrees at the
 boundary unless ``--angle-unit rad`` is given; files always use radians.
 
 Exit codes: 0 success, 2 usage (out-of-range count, size or rate arguments
-included), 3 data error (schema/orientation/reach), 4 numeric error (pole,
+included; ``fit --n-fit`` is checked against the session count after
+loading), 3 data error (schema/orientation/reach), 4 numeric error (pole,
 degenerate statistic, invalid value).
 """
 
@@ -290,6 +291,11 @@ def _ga_config(args) -> GAConfig:
 def _cmd_fit(args) -> int:
     sessions = _load_dataset(args.data)
     if args.n_fit is not None:
+        # the bound depends on the data, so argparse cannot check it
+        if args.n_fit >= len(sessions):
+            print(f"error: --n-fit must be below the {len(sessions)} sessions in {args.data}, "
+                  f"got {args.n_fit}", file=sys.stderr)
+            return USAGE_ERROR
         sessions, _ = subject_split(sessions, args.n_fit, seed=args.seed)
     points = to_data_points([derive_joint_series(s) for s in sessions])
     config = _ga_config(args)

@@ -3,7 +3,10 @@
 Minimizes the (weighted) sum of squared errors of a
 :class:`~wristkin.regression.RationalQuadricSurface` on observed
 (beta3, beta4, d2) points, with a pole penalty that keeps the denominator
-bounded away from zero on a 50x50 grid over the data's bounding box.
+bounded away from zero over the whole bounding box of the data. The penalty
+reads the denominator's exact range over that box
+(:func:`~wristkin.regression.quadric_range`), so it also catches a sign
+change or near-zero between data points.
 
 Operators: uniform crossover between randomly paired parents, per-gene
 Gaussian mutation whose sigma anneals geometrically over the generation
@@ -34,11 +37,26 @@ from .regression import (
     RationalQuadricSurface,
     fit_report,
     quadric_design,
+    quadric_range,
 )
 
-# grid resolution and denominator threshold for the pole penalty
-PENALTY_GRID = 50
+# the pole penalty grows from POLE_PENALTY_WEIGHT to twice it as the least
+# denominator magnitude over the data box falls from this to zero
 PENALTY_DENOMINATOR_TOL = 1e-3
+POLE_PENALTY_WEIGHT = 1e6
+# numerator / denominator gene slots initialize uniformly in +-these widths
+# (denominator near zero: a polynomial-regression start that the rational
+# part refines)
+INIT_WIDTH = 10.0
+INIT_DENOMINATOR_WIDTH = 0.1
+# mutation sigma anneals geometrically between these fractions of the
+# initialization width 2 * INIT_WIDTH across the generation budget
+MUTATION_SIGMA_FRAC = 0.05
+MUTATION_SIGMA_FINAL_FRAC = 1e-6
+# the run stops once the best penalized fitness has improved by less than
+# STALL_TOLERANCE (mm^2) for STALL_GENERATIONS consecutive generations
+STALL_GENERATIONS = 500
+STALL_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,14 +64,8 @@ class GAConfig:
     """Hyperparameters. Defaults: population 20, crossover 0.85, mutation
     0.005 per gene, up to 20000 generations, genes clipped to [-5000, 5000].
 
-    Numerator gene slots initialize uniformly in [-init_width, init_width];
-    denominator slots in [-init_denominator_width, ...] (near zero, i.e. a
-    polynomial-regression start that the rational part refines). Mutation
-    sigma anneals geometrically from ``mutation_sigma_frac`` to
-    ``mutation_sigma_final_frac`` of the initialization width
-    (2 * init_width) across the generation budget. The run stops early
-    once the best penalized fitness has improved by less than
-    ``stall_tolerance`` for ``stall_generations`` consecutive generations.
+    Initialization widths, the mutation-sigma schedule, the stall stop and
+    the pole-penalty weight are the module constants.
     """
 
     population_size: int = 20
@@ -61,14 +73,7 @@ class GAConfig:
     mutation_rate: float = 0.005
     generations: int = 20000
     coefficient_bounds: tuple[float, float] = (-5000.0, 5000.0)
-    pole_penalty_weight: float = 1e6
     seed: int = 0
-    init_width: float = 10.0
-    init_denominator_width: float = 0.1
-    mutation_sigma_frac: float = 0.05
-    mutation_sigma_final_frac: float = 1e-6
-    stall_generations: int = 500
-    stall_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 <= self.crossover_rate <= 1.0:
@@ -84,15 +89,13 @@ class GAConfig:
             )
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        if self.init_width <= 0 or self.init_denominator_width <= 0:
-            raise ValueError("initialization widths must be positive")
 
     def mutation_sigma(self, generation: int) -> float:
         """Annealed per-gene mutation sigma at a given generation."""
-        width = 2.0 * self.init_width
-        sigma0 = self.mutation_sigma_frac * width
-        sigma1 = self.mutation_sigma_final_frac * width
-        if self.generations <= 1 or sigma1 >= sigma0:
+        width = 2.0 * INIT_WIDTH
+        sigma0 = MUTATION_SIGMA_FRAC * width
+        sigma1 = MUTATION_SIGMA_FINAL_FRAC * width
+        if self.generations <= 1:
             return sigma0
         t = min(max(generation, 0), self.generations - 1) / (self.generations - 1)
         return sigma0 * (sigma1 / sigma0) ** t
@@ -112,42 +115,37 @@ class Chromosome:
             raise ValueError(f"expected 11 genes, got {genes.shape}")
         self.genes = genes
 
-    def surface(self) -> RationalQuadricSurface:
-        return RationalQuadricSurface.from_coefficients(self.genes)
-
 
 class _Problem:
     """Fitness machinery over an arbitrary linear parameterization.
 
     Predictions are (num_basis @ g_num) / (1 + den_basis @ g_den) where
-    g_num are the even gene slots (0,2,..) and g_den the odd ones. For the
-    raw parameterization the bases are the quadric design columns, making
+    g_num are the even gene slots (0,2,..) and g_den the odd ones. The
+    denominator is the quadric with constant 1 and non-constant
+    coefficients ``den_map @ g_den`` over the inputs, whose data range is
+    ``box`` ((lo, hi) per input). For the raw parameterization the bases
+    are the quadric design columns and ``den_map`` the identity, making
     genes the plain surface coefficients.
     """
 
-    def __init__(self, num_basis, den_basis, grid_den, z, w, penalty_weight):
+    def __init__(self, num_basis, den_basis, den_map, box, z, w):
         self.num_basis = num_basis
         self.den_basis = den_basis
-        self.grid_den = grid_den
+        self.den_map = den_map
+        self.box = box
         self.z = np.asarray(z, dtype=float)
         self.w = np.asarray(w, dtype=float)
-        self.penalty_weight = penalty_weight
 
     @classmethod
-    def from_data(cls, data: DataPoints, config: GAConfig) -> "_Problem":
-        x, y = data.x, data.y
-        design = quadric_design(x, y)
-        gx = np.linspace(float(np.min(x)), float(np.max(x)), PENALTY_GRID)
-        gy = np.linspace(float(np.min(y)), float(np.max(y)), PENALTY_GRID)
-        mx, my = np.meshgrid(gx, gy)
-        grid = quadric_design(mx.ravel(), my.ravel())
+    def from_data(cls, data: DataPoints) -> "_Problem":
+        design = quadric_design(data.x, data.y)
         return cls(
             num_basis=design,
             den_basis=design[:, 1:],
-            grid_den=grid[:, 1:],
+            den_map=np.eye(5),
+            box=_box(data.x, data.y),
             z=data.z,
             w=data.w,
-            penalty_weight=config.pole_penalty_weight,
         )
 
     def fitness_many(self, genes: np.ndarray) -> np.ndarray:
@@ -160,19 +158,29 @@ class _Problem:
             eps = self.z[:, None] - num / den
             sse = self.w @ np.square(eps)
         sse = np.where(np.isfinite(sse), sse, np.inf)
-        grid_den = 1.0 + self.grid_den @ g_den.T  # (grid^2, m)
-        violations = (np.abs(grid_den) < PENALTY_DENOMINATOR_TOL).sum(axis=0)
-        return sse + self.penalty_weight * violations
+        coeffs = np.hstack([np.ones((genes.shape[0], 1)), g_den @ self.den_map.T])
+        lo, hi = quadric_range(coeffs, *self.box)
+        # least |denominator| over the box; 0 when it changes sign there
+        margin = np.maximum(np.maximum(lo, -hi), 0.0)
+        penalty = np.where(margin < PENALTY_DENOMINATOR_TOL,
+                           POLE_PENALTY_WEIGHT * (2.0 - margin / PENALTY_DENOMINATOR_TOL), 0.0)
+        return sse + penalty
 
     def fitness_one(self, genes: np.ndarray) -> float:
         return float(self.fitness_many(genes.reshape(1, -1))[0])
 
 
+def _box(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Bounding box ((x lo, x hi), (y lo, y hi)) of the inputs."""
+    return (float(x.min()), float(x.max())), (float(y.min()), float(y.max()))
+
+
 def fitness(chromosome: Chromosome, data: DataPoints, config: GAConfig) -> float:
-    """Penalized fitness of a single chromosome (SSE + pole penalty, mm^2)."""
+    """Penalized fitness of a single chromosome (SSE + pole penalty, mm^2).
+    The penalty depends on no field of ``config``."""
     if len(data) == 0:
         raise ValueError("data must be non-empty")
-    return _Problem.from_data(data, config).fitness_one(chromosome.genes)
+    return _Problem.from_data(data).fitness_one(chromosome.genes)
 
 
 def _generation_stream(seed: int, generation: int, substream: int) -> np.random.Generator:
@@ -285,7 +293,7 @@ def step_generation(
         raise ValueError(
             f"population size {len(population)} != config.population_size {config.population_size}"
         )
-    problem = _Problem.from_data(data, config)
+    problem = _Problem.from_data(data)
     genes = np.stack([c.genes for c in population])
     fitnesses = np.array(
         [
@@ -301,16 +309,14 @@ def _initial_genes(config: GAConfig) -> np.ndarray:
     rng = _init_stream(config.seed)
     pop = config.population_size
     genes = np.empty((pop, 11))
-    genes[:, 0::2] = rng.uniform(-config.init_width, config.init_width, (pop, 6))
-    genes[:, 1::2] = rng.uniform(
-        -config.init_denominator_width, config.init_denominator_width, (pop, 5)
-    )
+    genes[:, 0::2] = rng.uniform(-INIT_WIDTH, INIT_WIDTH, (pop, 6))
+    genes[:, 1::2] = rng.uniform(-INIT_DENOMINATOR_WIDTH, INIT_DENOMINATOR_WIDTH, (pop, 5))
     return genes
 
 
 def initial_population(config: GAConfig) -> list[Chromosome]:
-    """Seeded random chromosomes; numerator slots span +-init_width,
-    denominator slots +-init_denominator_width (unevaluated)."""
+    """Seeded random chromosomes; numerator slots span +-INIT_WIDTH,
+    denominator slots +-INIT_DENOMINATOR_WIDTH (unevaluated)."""
     return [Chromosome(g) for g in _initial_genes(config)]
 
 
@@ -352,9 +358,6 @@ class _Preconditioner:
             self.den_basis = design[:, 1:]
             self.Mn = np.eye(6)
             self.Md = np.eye(5)
-
-    def grid_bases(self, grid_design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return grid_design @ self.Mn, grid_design[:, 1:] @ self.Md
 
     def decode(self, genes: np.ndarray) -> np.ndarray:
         """Genes in the preconditioned basis -> plain a1..a11 coefficients."""
@@ -414,17 +417,13 @@ def fit_surface(
         raise DegenerateDataError("observations are all identical")
 
     pre = _Preconditioner(x, y, z)
-    gx = np.linspace(float(np.min(pre.u)), float(np.max(pre.u)), PENALTY_GRID)
-    gy = np.linspace(float(np.min(pre.v)), float(np.max(pre.v)), PENALTY_GRID)
-    mx, my = np.meshgrid(gx, gy)
-    _, grid_den = pre.grid_bases(quadric_design(mx.ravel(), my.ravel()))
     problem = _Problem(
         num_basis=pre.num_basis,
         den_basis=pre.den_basis,
-        grid_den=grid_den,
+        den_map=pre.Md,
+        box=_box(pre.u, pre.v),
         z=pre.zn,
         w=w,
-        penalty_weight=config.pole_penalty_weight,
     )
 
     genes = _initial_genes(config)
@@ -434,7 +433,7 @@ def fit_surface(
 
     # the GA minimizes normalized-z SSE; keep the documented mm^2 stall
     # tolerance by rescaling it
-    stall_tol = config.stall_tolerance / (pre.sz * pre.sz)
+    stall_tol = STALL_TOLERANCE / (pre.sz * pre.sz)
     best = float(fitnesses[0])
     stall = 0
     for g in range(config.generations):
@@ -445,11 +444,10 @@ def fit_surface(
         else:
             stall = 0
         best = new_best
-        if stall >= config.stall_generations:
+        if stall >= STALL_GENERATIONS:
             break
 
     surface = RationalQuadricSurface.from_coefficients(pre.decode(genes[0]))
-    if not surface.is_pole_free((float(x.min()), float(x.max())),
-                                (float(y.min()), float(y.max()))):
+    if not surface.is_pole_free(*_box(x, y)):
         raise DegenerateDataError("fitted surface has a near-pole inside the data domain")
     return surface, fit_report(surface, data)

@@ -31,10 +31,9 @@ from .transforms import _flagged
 
 # evaluation refuses denominators smaller than this
 POLE_EVAL_TOL = 1e-9
-# a surface is considered pole-free on a domain when the denominator stays
-# above this on the checking grid
+# a surface is considered pole-free on a box when the denominator magnitude
+# stays at or above this everywhere in it
 POLE_FREE_TOL = 1e-6
-POLE_GRID = 50
 
 NUM_COEFFS = 11
 
@@ -45,6 +44,46 @@ def quadric_design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     one = np.ones_like(x)
     return np.stack([one, x, y, x * x, y * y, x * y], axis=-1)
+
+
+def quadric_range(c, x_range, y_range) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (min, max) over the box x_range x y_range of each quadric row
+    of ``c`` (m, 6), coefficients over (1, x, y, x^2, y^2, x*y); two (m,)
+    arrays.
+
+    A quadric reaches its extremes over an axis-aligned box at one of nine
+    candidates: the four corners, the stationary point of each edge
+    restriction and the interior stationary point. Each candidate is
+    clipped into the box, so all are real box points; a flat direction
+    (zero x^2 or y^2 coefficient, singular Hessian) sends its candidate to
+    a corner, since the extremes then also lie on the boundary.
+    """
+    c = np.asarray(c, dtype=float)
+    x0, x1 = sorted(map(float, x_range))
+    y0, y1 = sorted(map(float, y_range))
+    c0, cx, cy, cxx, cyy, cxy = c.T
+    # stationary coordinates num / den, one row each: x on the edges y = y0
+    # and y = y1, y on the edges x = x0 and x = x1, the interior point's x, y
+    det = 4.0 * cxx * cyy - cxy * cxy
+    num = np.array([-(cx + cxy * y0), -(cx + cxy * y1), -(cy + cxy * x0),
+                    -(cy + cxy * x1), cxy * cy - 2.0 * cyy * cx, cxy * cx - 2.0 * cxx * cy])
+    den = np.array([2.0 * cxx, 2.0 * cxx, 2.0 * cyy, 2.0 * cyy, det, det])
+    low = np.array([[x0], [x0], [y0], [y0], [x0], [y0]])
+    high = np.array([[x1], [x1], [y1], [y1], [x1], [y1]])
+    t = np.broadcast_to(low, num.shape).copy()
+    with np.errstate(over="ignore"):
+        np.divide(num, den, out=t, where=den != 0.0)
+    t = np.minimum(np.maximum(t, low), high)
+    # the nine candidates: corners, edge stationary points, interior point
+    xs = np.empty((9, c.shape[0]))
+    ys = np.empty_like(xs)
+    xs[:4] = [[x0], [x0], [x1], [x1]]
+    ys[:4] = [[y0], [y1], [y0], [y1]]
+    xs[4:6], ys[4:6] = t[0:2], [[y0], [y1]]
+    xs[6:8], ys[6:8] = [[x0], [x1]], t[2:4]
+    xs[8], ys[8] = t[4], t[5]
+    values = c0 + xs * (cx + cxx * xs + cxy * ys) + ys * (cy + cyy * ys)
+    return values.min(axis=0), values.max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -110,15 +149,12 @@ class RationalQuadricSurface:
             return float(out)
         return out
 
-    def is_pole_free(self, x_range, y_range, grid: int = POLE_GRID,
-                     min_magnitude: float = POLE_FREE_TOL) -> bool:
-        """True when the denominator stays >= min_magnitude on a grid x grid
-        lattice over the given (lo, hi) ranges."""
-        xs = np.linspace(x_range[0], x_range[1], grid)
-        ys = np.linspace(y_range[0], y_range[1], grid)
-        gx, gy = np.meshgrid(xs, ys)
-        den = self.denominator_values(gx.ravel(), gy.ravel())
-        return bool(np.abs(den).min() >= min_magnitude)
+    def is_pole_free(self, x_range, y_range, min_magnitude: float = POLE_FREE_TOL) -> bool:
+        """True when the denominator magnitude stays >= min_magnitude over
+        the whole box given by the (lo, hi) ranges, decided exactly from
+        the denominator's range (:func:`quadric_range`)."""
+        lo, hi = quadric_range(np.concatenate(([1.0], self.denominator))[None], x_range, y_range)
+        return bool(max(lo[0], -hi[0]) >= min_magnitude)
 
 
 def reference_surface() -> RationalQuadricSurface:

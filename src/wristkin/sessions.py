@@ -57,7 +57,8 @@ class TrackingSession:
     """Timestamped sensor-frame poses plus subject constants, one row per
     sample: ``times`` (n,) s, rotations ``r`` (n, 3, 3) with columns n, o, a
     and positions ``p`` (n, 3) mm. Every row must pass the checks of
-    :class:`~wristkin.transforms.Pose`, and times must increase."""
+    :class:`~wristkin.transforms.Pose`, and times must be finite and
+    increase."""
 
     subject: SubjectParams
     times: np.ndarray
@@ -72,6 +73,8 @@ class TrackingSession:
         if times.ndim != 1 or r.shape != (n, 3, 3) or p.shape != (n, 3):
             raise ValueError("times (n,), r (n, 3, 3) and p (n, 3) must have matching lengths")
         _check_rigid(r, p)
+        if bad := _flagged(~np.isfinite(times)):
+            raise ValueError(f"{bad[1]}timestamp must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("timestamps must be strictly increasing")
         if self.handedness not in ("left", "right"):
@@ -87,9 +90,9 @@ class TrackingSession:
 @dataclass(frozen=True)
 class JointSeries:
     """Joint values aligned 1:1 with a session's samples: ``theta3``,
-    ``theta4`` (rad) and ``d2`` (mm) arrays over ``times``. Every sample must
-    pass the checks of :class:`~wristkin.wrist.JointState`, each failure
-    naming the first failing sample."""
+    ``theta4`` (rad) and ``d2`` (mm) arrays over finite ``times``. Every
+    sample must pass the checks of :class:`~wristkin.wrist.JointState`, each
+    failure naming the first failing sample."""
 
     times: np.ndarray
     theta3: np.ndarray
@@ -101,6 +104,8 @@ class JointSeries:
         times, theta3, theta4, d2 = (np.array(getattr(self, k), dtype=float) for k in names)
         if times.ndim != 1 or not times.shape == theta3.shape == theta4.shape == d2.shape:
             raise ValueError("times, theta3, theta4 and d2 must be 1-d arrays of one length")
+        if bad := _flagged(~np.isfinite(times)):
+            raise ValueError(f"{bad[1]}timestamp must be finite")
         if bad := _flagged(~(np.isfinite(theta3) & np.isfinite(theta4) & np.isfinite(d2))):
             raise ValueError(f"{bad[1]}joint state must be finite")
         if bad := _flagged(np.abs(theta4) > HALF_PI):

@@ -4,7 +4,15 @@ import math
 
 import pytest
 
-from wristkin import forward_kinematics, JointState, SubjectParams, save_surface
+from wristkin import (
+    JointState,
+    RationalQuadricSurface,
+    SubjectParams,
+    derive_joint_series,
+    forward_kinematics,
+    load_session,
+    save_surface,
+)
 from wristkin.cli import run
 
 
@@ -234,6 +242,57 @@ OUT_OF_RANGE = [
 ]
 
 
+def _malformed_inputs(tmp_path, data_dir) -> dict:
+    """Paths for the MALFORMED table: the good cohort and each bad input."""
+    files = {"data": str(data_dir), "missing": str(tmp_path / "missing"),
+             "surface": str(tmp_path / "good.json"), "bad_surface": str(tmp_path / "bad.json"),
+             "pole_surface": str(tmp_path / "pole.json")}
+    save_surface(RationalQuadricSurface([20.0, 0, 0, 0, 0, 0], [0.0] * 5), files["surface"])
+    (tmp_path / "bad.json").write_text(
+        json.dumps({"numerator": [1, 2], "denominator": [0] * 5, "angle_unit": "rad"}))
+    # denominator 1 - x / beta3[0] vanishes at the first sample
+    first = derive_joint_series(
+        load_session(data_dir / "subject_00.csv", data_dir / "subject_00.meta.json"))
+    save_surface(RationalQuadricSurface([1.0, 0, 0, 0, 0, 0], [-1.0 / first.beta3[0], 0, 0, 0, 0]),
+                 files["pole_surface"])
+    good_pose = {"n": [1, 0, 0], "o": [0, 1, 0], "a": [0, 0, 1], "p": [0, 0, 100]}
+    for name, text in (("not_json_pose", "{"),
+                       ("short_pose", json.dumps({**good_pose, "p": [0, 0]})),
+                       ("reflected_pose", json.dumps({**good_pose, "a": [0, 0, -1]}))):
+        (tmp_path / f"{name}.json").write_text(text)
+        files[name] = str(tmp_path / f"{name}.json")
+    return files
+
+
+# each subcommand against each malformed input: argv ({...} filled from
+# _malformed_inputs; --out is appended), exit code, part of the error line
+MALFORMED = [
+    *(pytest.param([cmd, *extra, "--data", "{missing}"], 3, "{missing}: not a directory",
+                   id=f"{cmd} missing-data")
+      for cmd, extra in (("fit", []), ("predict", ["--surface", "{surface}"]),
+                         ("validate", ["--surface", "{surface}"]),
+                         ("residuals", ["--surface", "{surface}"]), ("stats", []))),
+    *(pytest.param([cmd, "--surface", "{bad_surface}", "--data", "{data}"], 3,
+                   "'numerator' must be 6 finite numbers", id=f"{cmd} bad-surface")
+      for cmd in ("predict", "validate", "residuals")),
+    pytest.param(["synth", "--subjects", "1", "--surface", "{bad_surface}"], 3,
+                 "'numerator' must be 6 finite numbers", id="synth bad-surface"),
+    pytest.param(["check", "{bad_surface}"], 3, "'numerator' must be 6 finite numbers",
+                 id="check bad-surface"),
+    *(pytest.param(["ik", "--pose", "{%s}" % name, "--a4", "100"], 3, message,
+                   id=f"ik {name.replace('_', '-')}")
+      for name, message in (("not_json_pose", "not valid JSON"),
+                            ("short_pose", "'p' must be 3 finite numbers"),
+                            ("reflected_pose", "improper"))),
+    *(pytest.param([cmd, "--surface", "{pole_surface}", "--data", "{data}"], 4,
+                   "denominator magnitude below", id=f"{cmd} pole-at-sample")
+      for cmd in ("predict", "validate", "residuals")),
+    pytest.param(["fit", "--data", "{data}", "--n-fit", "3"], 2,
+                 "error: --n-fit must be below the 3 sessions in {data}, got 3",
+                 id="fit n-fit-at-session-count"),
+]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda argv: " ".join(argv[-2:]))
     def test_out_of_range_argument_is_usage_error(self, argv, tmp_path, capsys):
@@ -263,6 +322,15 @@ class TestExitCodes:
         assert rc == 0
         assert run(["fit", "--data", str(out), "--out", str(tmp_path / "f")]) == 4
 
-    def test_data_error_on_missing_dir(self, tmp_path, capsys):
-        rc = run(["fit", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "o")])
-        assert rc == 3
+    @pytest.mark.parametrize("argv, code, message", MALFORMED)
+    def test_malformed_input(self, argv, code, message, data_dir, tmp_path, capsys):
+        files = _malformed_inputs(tmp_path, data_dir)
+        argv = [arg.format(**files) for arg in argv]
+        out = [] if argv[0] == "check" else ["--out", str(tmp_path / "o")]
+        assert run([*argv, *out]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message.format(**files) in lines[0]
+

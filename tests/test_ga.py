@@ -14,6 +14,12 @@ from wristkin import (
     initial_population,
     step_generation,
 )
+from wristkin.ga import (
+    INIT_WIDTH,
+    MUTATION_SIGMA_FINAL_FRAC,
+    MUTATION_SIGMA_FRAC,
+    POLE_PENALTY_WEIGHT,
+)
 
 PROTOCOL_X = (math.pi / 2 - 0.0873, math.pi / 2 + 0.0873)
 PROTOCOL_Y = (-0.1745, 0.5236)
@@ -55,9 +61,17 @@ class TestFitness:
         y = np.linspace(-1, 1, 20)
         z = np.asarray(surface.evaluate(x, y))
         data = DataPoints(x, y, z)
-        config = GAConfig()
-        value = fitness(Chromosome(surface.coefficients), data, config)
-        assert value >= config.pole_penalty_weight
+        value = fitness(Chromosome(surface.coefficients), data, GAConfig())
+        assert value >= POLE_PENALTY_WEIGHT
+
+    def test_sign_change_between_data_points_is_penalized(self):
+        # denominator 1 - 2x changes sign at x = 0.5, between the data at
+        # x = 0 and 1, where the fit is exact (SSE 0)
+        surface = RationalQuadricSurface([1.0, 0, 0, 0, 0, 0], [-2.0, 0, 0, 0, 0])
+        x = np.array([0.0] * 10 + [1.0] * 10)
+        y = np.linspace(0, 1, 20)
+        data = DataPoints(x, y, np.asarray(surface.evaluate(x, y)))
+        assert fitness(Chromosome(surface.coefficients), data, GAConfig()) >= POLE_PENALTY_WEIGHT
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -177,9 +191,9 @@ class TestGAConfig:
     def test_sigma_anneals(self):
         config = GAConfig()
         assert config.mutation_sigma(0) == pytest.approx(
-            config.mutation_sigma_frac * 2 * config.init_width
+            MUTATION_SIGMA_FRAC * 2 * INIT_WIDTH
         )
         assert config.mutation_sigma(config.generations - 1) == pytest.approx(
-            config.mutation_sigma_final_frac * 2 * config.init_width
+            MUTATION_SIGMA_FINAL_FRAC * 2 * INIT_WIDTH
         )
         assert config.mutation_sigma(10) < config.mutation_sigma(1)

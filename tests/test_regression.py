@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from wristkin import (
     DataPoints,
@@ -18,6 +19,7 @@ from wristkin import (
     spearman_rho,
     standardized_residuals,
 )
+from wristkin.regression import quadric_range
 
 
 def make_points(x, y, z, w=None):
@@ -45,6 +47,13 @@ class TestSurfaceEvaluate:
         assert s.is_pole_free((math.radians(85), math.radians(95)),
                               (math.radians(-10), math.radians(30)))
 
+    def test_pole_between_grid_nodes(self):
+        # denominator 1 - 2x changes sign at x = 0.5, which no even grid
+        # over [0, 1] samples
+        s = RationalQuadricSurface([1.0, 0, 0, 0, 0, 0], [-2.0, 0, 0, 0, 0])
+        assert not s.is_pole_free((0.0, 1.0), (0.0, 1.0))
+        assert s.is_pole_free((0.0, 0.49), (0.0, 1.0))
+
     def test_coefficient_round_trip(self, rng):
         a = rng.uniform(-10, 10, 11)
         s = RationalQuadricSurface.from_coefficients(a)
@@ -60,6 +69,104 @@ class TestSurfaceEvaluate:
         scaled = RationalQuadricSurface(k * s.numerator, s.denominator)
         x, y = rng.uniform(-1, 1, 2)
         assert scaled.evaluate(x, y) == pytest.approx(k * s.evaluate(x, y), rel=1e-12)
+
+
+def _quadric(c, x, y):
+    return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * y * y + c[5] * x * y
+
+
+def _quadric_grad(c, x, y):
+    return np.array([c[1] + 2 * c[3] * x + c[5] * y, c[2] + 2 * c[4] * y + c[5] * x])
+
+
+def _oracle_min(c, x_range, y_range):
+    """Least value of the quadric c over the box: a 101 x 101 grid, then
+    L-BFGS-B polishes from the best grid node in 2-D and from the best node
+    of each edge along that edge. A minimum inside the box makes the quadric
+    convex, so the 2-D polish reaches it; one inside an edge makes the
+    edge's restriction convex, so that edge's polish reaches it."""
+    box = np.array([x_range, y_range])
+    grid_x, grid_y = np.meshgrid(np.linspace(*x_range, 101), np.linspace(*y_range, 101),
+                                 indexing="ij")
+    grid = _quadric(c, grid_x, grid_y)
+    best = float(grid.min())
+    for cells, free in ((np.s_[:, :], [True, True]), (np.s_[0], [False, True]),
+                        (np.s_[-1], [False, True]), (np.s_[:, 0], [True, False]),
+                        (np.s_[:, -1], [True, False])):
+        k = np.argmin(grid[cells])
+        start = np.array([grid_x[cells].flat[k], grid_y[cells].flat[k]])
+
+        def point(p, start=start, free=free):
+            out = start.copy()
+            out[free] = p
+            return out
+
+        result = minimize(
+            lambda p: _quadric(c, *point(p)),
+            start[free],
+            jac=lambda p: _quadric_grad(c, *point(p))[free],
+            method="L-BFGS-B",
+            bounds=box[free],
+            options={"ftol": 0.0, "gtol": 1e-14, "maxiter": 500},
+        )
+        best = min(best, float(result.fun))
+    return best
+
+
+def _assert_matches_oracle(rows, x_range, y_range):
+    lo, hi = quadric_range(np.array(rows), x_range, y_range)
+    for c, row_lo, row_hi in zip(np.array(rows), lo, hi):
+        want_lo = _oracle_min(c, x_range, y_range)
+        want_hi = -_oracle_min(-c, x_range, y_range)
+        scale = max(1.0, abs(want_lo), abs(want_hi))
+        assert abs(row_lo - want_lo) <= 1e-9 * scale
+        assert abs(row_hi - want_hi) <= 1e-9 * scale
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(-100.0, 100.0))
+_INTERVAL = st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 10.0)).map(
+    lambda t: (t[0], t[0] + t[1])
+)
+
+
+class TestQuadricRange:
+    @given(st.lists(st.lists(_COEFF, min_size=6, max_size=6), min_size=1, max_size=3),
+           _INTERVAL, _INTERVAL)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_polished_grid_oracle(self, rows, x_range, y_range):
+        # hypothesis floats: zeros, tiny and extreme coefficients, empty boxes
+        _assert_matches_oracle(rows, x_range, y_range)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_on_random_quadrics(self, seed):
+        # well-scaled quadrics, each of c3, c4, c5 zero with probability 1/4,
+        # half of them with their stationary point moved inside the box
+        rng = np.random.default_rng(seed)
+        x0, y0 = rng.uniform(-10, 10, 2)
+        x_range, y_range = (x0, x0 + rng.uniform(0, 10)), (y0, y0 + rng.uniform(0, 10))
+        rows = rng.normal(0, 10, (int(rng.integers(1, 4)), 6))
+        rows[:, 3:] *= rng.random((len(rows), 3)) < 0.75
+        for c in rows[rng.random(len(rows)) < 0.5]:
+            px, py = rng.uniform(x_range[0], x_range[1]), rng.uniform(y_range[0], y_range[1])
+            c[1], c[2] = -2 * c[3] * px - c[5] * py, -2 * c[4] * py - c[5] * px
+        _assert_matches_oracle(rows, x_range, y_range)
+
+    @pytest.mark.parametrize("c, x_range, y_range, want", [
+        # linear: extremes at corners
+        ([1.0, 2.0, -1.0, 0.0, 0.0, 0.0], (-1.0, 1.0), (0.0, 2.0), (-3.0, 3.0)),
+        # (x + y)^2: singular Hessian, minimum along a line
+        ([0.0, 0.0, 0.0, 1.0, 1.0, 2.0], (-1.0, 1.0), (0.0, 2.0), (0.0, 9.0)),
+        # bowl with its minimum -1 inside the box at (0.25, 0.5)
+        ([-0.625, -0.75, -1.125, 1.0, 1.0, 0.5], (0.0, 1.0), (0.0, 1.0), (-1.0, 0.0)),
+        # the same box given as (hi, lo) ranges
+        ([-0.625, -0.75, -1.125, 1.0, 1.0, 0.5], (1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)),
+        # saddle x^2 - y^2: both extremes inside edges, at (0, 2) and (+-1, 0)
+        ([0.0, 0.0, 0.0, 1.0, -1.0, 0.0], (-1.0, 1.0), (-1.0, 2.0), (-4.0, 1.0)),
+    ])
+    def test_hand_values(self, c, x_range, y_range, want):
+        lo, hi = quadric_range([c], x_range, y_range)
+        assert (lo[0], hi[0]) == want
 
 
 class TestReferenceSurface:

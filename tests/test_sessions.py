@@ -367,6 +367,15 @@ class TestTrackingSessionInvariants:
                 r=np.stack([np.eye(3), np.eye(3)]), p=np.zeros((2, 3)),
             )
 
+    def test_times_must_be_finite(self, subject):
+        # NaN fails every comparison, so the monotonicity check alone misses it
+        for times, first in (([np.nan, 1.0, 2.0], 0), ([0.0, 1.0, np.inf], 2)):
+            with pytest.raises(ValueError, match=f"sample {first}: timestamp must be finite"):
+                TrackingSession(
+                    subject=subject, times=np.array(times),
+                    r=np.stack([np.eye(3)] * 3), p=np.zeros((3, 3)),
+                )
+
     def test_handedness_checked(self, subject):
         with pytest.raises(ValueError):
             TrackingSession(
@@ -406,6 +415,11 @@ class TestJointSeriesInvariants:
             JointSeries(times=t, theta3=[0.0, np.inf, 0.0], theta4=np.zeros(3), d2=np.zeros(3))
         with pytest.raises(ValueError, match="one length"):
             JointSeries(times=t, theta3=np.zeros(2), theta4=np.zeros(3), d2=np.zeros(3))
+
+    def test_times_must_be_finite(self):
+        with pytest.raises(ValueError, match="sample 1: timestamp must be finite"):
+            JointSeries(times=[0.0, np.nan, 0.2], theta3=np.zeros(3), theta4=np.zeros(3),
+                        d2=np.zeros(3))
 
     def test_beta_coupling(self):
         series = JointSeries(times=[0.0], theta3=[0.123], theta4=[0.2], d2=[5.0])
