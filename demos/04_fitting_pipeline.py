@@ -7,7 +7,7 @@ joint series through the inverse kinematics, fit, then judge the fit on
 subjects the optimizer never saw.
 
 Runs a reduced generation budget so the whole script finishes in about
-half a minute; drop the GAConfig override for full-quality fits.
+ten seconds; drop the GAConfig override for full-quality fits.
 """
 
 import time

@@ -10,10 +10,9 @@ change or near-zero between data points.
 
 Operators: uniform crossover between randomly paired parents, per-gene
 Gaussian mutation whose sigma anneals geometrically over the generation
-budget, and elitist truncation of parents plus offspring. Every random
-draw comes from a numpy SeedSequence keyed by (config.seed, generation,
-substream index), so runs are bit-reproducible and the per-individual
-substreams could be evaluated in parallel without changing results.
+budget, and elitist truncation of parents plus offspring. Each generation
+draws from one numpy stream keyed by (config.seed, generation), so runs
+are bit-reproducible and any generation can be replayed from its index.
 
 :func:`fit_surface` searches a numerically preconditioned version of the
 problem: inputs are standardized, observations are normalized, and the
@@ -129,8 +128,9 @@ class _Problem:
     """
 
     def __init__(self, num_basis, den_basis, den_map, box, z, w):
-        self.num_basis = num_basis
-        self.den_basis = den_basis
+        # contiguous (k, n) transposes, so both fitness products stream rows
+        self.num_basis_t = np.ascontiguousarray(np.transpose(num_basis))
+        self.den_basis_t = np.ascontiguousarray(np.transpose(den_basis))
         self.den_map = den_map
         self.box = box
         self.z = np.asarray(z, dtype=float)
@@ -150,14 +150,16 @@ class _Problem:
 
     def fitness_many(self, genes: np.ndarray) -> np.ndarray:
         """Penalized SSE for each row of an (m, 11) gene matrix."""
-        g_num = genes[:, 0::2]  # (m, 6)
-        g_den = genes[:, 1::2]  # (m, 5)
-        num = self.num_basis @ g_num.T  # (n, m)
-        den = 1.0 + self.den_basis @ g_den.T
+        g_den = np.ascontiguousarray(genes[:, 1::2])  # (m, 5)
+        num = np.ascontiguousarray(genes[:, 0::2]) @ self.num_basis_t  # (m, n)
+        den = g_den @ self.den_basis_t
+        den += 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            eps = self.z[:, None] - num / den
-            sse = self.w @ np.square(eps)
-        sse = np.where(np.isfinite(sse), sse, np.inf)
+            np.divide(num, den, out=num)
+            np.subtract(self.z, num, out=num)
+            np.square(num, out=num)
+            sse = num @ self.w
+        sse[~np.isfinite(sse)] = np.inf
         coeffs = np.hstack([np.ones((genes.shape[0], 1)), g_den @ self.den_map.T])
         lo, hi = quadric_range(coeffs, *self.box)
         # least |denominator| over the box; 0 when it changes sign there
@@ -183,14 +185,49 @@ def fitness(chromosome: Chromosome, data: DataPoints, config: GAConfig) -> float
     return _Problem.from_data(data).fitness_one(chromosome.genes)
 
 
-def _generation_stream(seed: int, generation: int, substream: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(0, generation, substream))
+def _generation_stream(seed: int, generation: int) -> np.random.Generator:
+    """The one stream a generation draws from, in this order: the pairing
+    permutation (pop,), crossover flags (pop // 2,), the swap mask
+    (pop // 2, 11), the mutation mask (pop, 11), then normal noise for the
+    mutated genes only, in row-major order."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, generation)))
     )
 
 
 def _init_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, 0)))
+
+
+def _equal_rows(genes: np.ndarray) -> np.ndarray:
+    """(n, n) mask of gene rows that are equal bit for bit."""
+    bits = genes.view(np.uint64)
+    # equal rows have equal weighted sums of their bit patterns (mod 2^64);
+    # only pairs whose sums match are then compared gene by gene
+    key = bits @ np.arange(1, 2 * bits.shape[1], 2, dtype=np.uint64)
+    same = key[:, None] == key
+    i, j = np.nonzero(same)
+    same[i, j] = (bits[i] == bits[j]).all(axis=1)
+    return same
+
+
+def _offspring(genes: np.ndarray, config: GAConfig, generation: int) -> np.ndarray:
+    """Unevaluated children of one generation: parents in pairing order,
+    pair k in rows (2k, 2k + 1) after uniform crossover (an odd
+    population's last parent passes through unpaired), then Gaussian
+    mutation clipped to the coefficient bounds."""
+    pop = genes.shape[0]
+    half = pop // 2
+    rng = _generation_stream(config.seed, generation)
+    offspring = genes[rng.permutation(pop)]
+    pairs = offspring[:2 * half].reshape(half, 2, 11)  # a view into offspring
+    crossed = rng.random(half) < config.crossover_rate
+    swap = (rng.random((half, 11)) < 0.5) & crossed[:, None]
+    pairs[...] = np.where(swap[:, None, :], pairs[:, ::-1], pairs)
+    mutate = rng.random((pop, 11)) < config.mutation_rate
+    offspring[mutate] += rng.normal(0.0, config.mutation_sigma(generation),
+                                    np.count_nonzero(mutate))
+    return np.clip(offspring, *config.coefficient_bounds, out=offspring)
 
 
 def _step_arrays(
@@ -202,75 +239,31 @@ def _step_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generation on raw arrays; the best survivor comes first."""
     pop = genes.shape[0]
-    lo, hi = config.coefficient_bounds
-    sigma = config.mutation_sigma(generation)
+    offspring = _offspring(genes, config, generation)
 
-    pairing = _generation_stream(config.seed, generation, 0)
-    order = pairing.permutation(pop)
-
-    offspring = np.empty_like(genes)
-    streams = [_generation_stream(config.seed, generation, 1 + j) for j in range(pop)]
-    for k in range(pop // 2):
-        ia, ib = order[2 * k], order[2 * k + 1]
-        pa, pb = genes[ia], genes[ib]
-        lead = streams[2 * k]
-        crossed = lead.random() < config.crossover_rate
-        swap = lead.random(11) < 0.5
-        if crossed:
-            offspring[2 * k] = np.where(swap, pb, pa)
-            offspring[2 * k + 1] = np.where(swap, pa, pb)
-        else:
-            offspring[2 * k] = pa
-            offspring[2 * k + 1] = pb
-    if pop % 2:
-        offspring[pop - 1] = genes[order[pop - 1]]
-
-    for j in range(pop):
-        stream = streams[j]
-        mutate = stream.random(11) < config.mutation_rate
-        noise = stream.normal(0.0, sigma, 11)
-        offspring[j] = np.where(mutate, offspring[j] + noise, offspring[j])
-    np.clip(offspring, lo, hi, out=offspring)
-
-    # fitness is a pure function of the genes: offspring identical to a
-    # current individual (common once the population converges) reuse its
-    # value instead of re-evaluating
-    known = {genes[i].tobytes(): fitnesses[i] for i in range(pop)}
-    child_fitness = np.empty(pop)
-    fresh = []
-    for j in range(pop):
-        cached = known.get(offspring[j].tobytes())
-        if cached is None:
-            fresh.append(j)
-        else:
-            child_fitness[j] = cached
-    if fresh:
+    # offspring identical to a current individual (common once the
+    # population converges) reuse the first such parent's value instead of
+    # being evaluated again. A row's value can differ in its last digits
+    # between batch and single evaluation (BLAS treats a batch's leftover
+    # rows differently), so the cache keeps the value a genome was first
+    # given; it does not make values independent of the batch.
+    all_genes = np.concatenate([genes, offspring], axis=0)
+    same = _equal_rows(all_genes)
+    match = same[pop:, :pop]
+    fresh = ~match.any(axis=1)
+    child_fitness = fitnesses[match.argmax(axis=1)]
+    if fresh.any():
         child_fitness[fresh] = problem.fitness_many(offspring[fresh])
 
-    all_genes = np.concatenate([genes, offspring], axis=0)
     all_fitness = np.concatenate([fitnesses, child_fitness])
     ranked = np.argsort(all_fitness, kind="stable")
     # elitist truncation preferring distinct genomes: offspring that merely
     # duplicate a survivor must not crowd out worse-but-distinct parents
-    # (no-op operators leave the population unchanged as a multiset)
-    keep: list[int] = []
-    seen: set[bytes] = set()
-    skipped: list[int] = []
-    for idx in ranked:
-        key = all_genes[idx].tobytes()
-        if key in seen:
-            skipped.append(idx)
-            continue
-        seen.add(key)
-        keep.append(idx)
-        if len(keep) == pop:
-            break
-    for idx in skipped:
-        if len(keep) == pop:
-            break
-        keep.append(idx)
-    keep_idx = np.array(keep)
-    return all_genes[keep_idx].copy(), all_fitness[keep_idx].copy()
+    # (no-op operators leave the population unchanged as a multiset);
+    # duplicates refill only when fewer than pop distinct genomes exist
+    repeat = same[np.ix_(ranked, ranked)].argmax(axis=1) < np.arange(ranked.size)
+    keep = np.concatenate([ranked[~repeat], ranked[repeat]])[:pop]
+    return all_genes[keep], all_fitness[keep]
 
 
 def step_generation(

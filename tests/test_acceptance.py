@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
-The genetic-algorithm criteria (6, 7) dominate the runtime (about one to
-two minutes together).
+The genetic-algorithm criteria (6, 7) dominate the runtime (about half a
+minute together on a 2-vCPU machine).
 """
 
 import math

@@ -1,8 +1,4 @@
-"""The narrative demos run end to end.
-
-Demo 04 is left out: its 6 000-generation fit takes about a minute, and
-acceptance criterion 6 covers the same call chain.
-"""
+"""The narrative demos run end to end."""
 
 import os
 import subprocess
@@ -16,7 +12,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_kinematics.py", "02_surface_and_statistics.py", "03_synthetic_sessions.py"],
+    [
+        "01_kinematics.py",
+        "02_surface_and_statistics.py",
+        "03_synthetic_sessions.py",
+        "04_fitting_pipeline.py",
+    ],
 )
 def test_demo_runs(demo):
     env = dict(os.environ)

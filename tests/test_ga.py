@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ from wristkin.ga import (
     INIT_WIDTH,
     MUTATION_SIGMA_FINAL_FRAC,
     MUTATION_SIGMA_FRAC,
+    PENALTY_DENOMINATOR_TOL,
     POLE_PENALTY_WEIGHT,
+    _equal_rows,
+    _offspring,
+    _Problem,
 )
 
 PROTOCOL_X = (math.pi / 2 - 0.0873, math.pi / 2 + 0.0873)
@@ -73,6 +78,54 @@ class TestFitness:
         data = DataPoints(x, y, np.asarray(surface.evaluate(x, y)))
         assert fitness(Chromosome(surface.coefficients), data, GAConfig()) >= POLE_PENALTY_WEIGHT
 
+    def test_batch_kernel_matches_oracle(self, rng):
+        # every row of every batch size 1..20 against math.fsum of
+        # w * (z - surface.evaluate)^2 plus the documented pole penalty
+        n = 5000
+        x = rng.uniform(*PROTOCOL_X, n)
+        y = rng.uniform(*PROTOCOL_Y, n)
+        y[0], y[1] = PROTOCOL_Y[1], 0.5
+        truth = RationalQuadricSurface([21.0, 2.0, -25.0, 0.0, 12.0, 1.5],
+                                       [0.0, 0.08, 0.0, 0.05, 0.0])
+        z = np.asarray(truth.evaluate(x, y)) + rng.normal(0, 1.35, n)
+        data = DataPoints(x, y, z, rng.uniform(0.5, 2.0, n))
+        genes = np.empty((20, 11))
+        genes[:, 0::2] = rng.uniform(-30, 30, (20, 6))
+        # |den - 1| <= 0.05 * (|x| + |y| + x^2 + y^2 + |xy|) < 0.3 on the
+        # data box: no penalty
+        genes[:, 1::2] = rng.uniform(-0.05, 0.05, (20, 5))
+        # denominator 1 - a*y, linear, reaching 5e-4 at the largest y
+        margin = 5e-4
+        genes[5, 1::2] = [0.0, -(1.0 - margin) / PROTOCOL_Y[1], 0.0, 0.0, 0.0]
+        # (1 - 2y) / (1 - 2y): 0 / 0 at the sample y = 0.5
+        genes[13] = RationalQuadricSurface(
+            [1.0, 0, -2.0, 0, 0, 0], [0, -2.0, 0, 0, 0]
+        ).coefficients
+
+        def oracle(row):
+            if row == 13:
+                return math.inf
+            pred = RationalQuadricSurface.from_coefficients(genes[row]).evaluate(x, y)
+            sse = math.fsum(data.w * (z - pred) ** 2)
+            if row != 5:
+                return sse
+            least = 1.0 - (1.0 - margin) / PROTOCOL_Y[1] * PROTOCOL_Y[1]
+            return sse + POLE_PENALTY_WEIGHT * (2.0 - least / PENALTY_DENOMINATOR_TOL)
+
+        want = np.array([oracle(row) for row in range(20)])
+        problem = _Problem.from_data(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in range(1, 21):
+                rows = (np.arange(m) + 7 * m) % 20
+                got = problem.fitness_many(genes[rows])
+                assert got.shape == (m,)
+                for row, value in zip(rows, got):
+                    if row == 13:
+                        assert value == math.inf
+                    else:
+                        assert abs(value - want[row]) <= 1e-12 * want[row], (m, row)
+
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             fitness(Chromosome(np.zeros(11)), DataPoints([], [], []), GAConfig())
@@ -122,6 +175,7 @@ class TestStepGeneration:
         config = GAConfig(seed=2, generations=300)
         pop = initial_population(config)
         lo, hi = config.coefficient_bounds
+        problem = _Problem.from_data(data)
         best = math.inf
         for g in range(300):
             pop = step_generation(pop, data, config, generation=g)
@@ -130,6 +184,50 @@ class TestStepGeneration:
             best = min(fits)
             genes = np.stack([c.genes for c in pop])
             assert genes.min() >= lo and genes.max() <= hi
+            # reused values belong to the genes they are attached to
+            assert np.allclose(fits, problem.fitness_many(genes), rtol=1e-9, atol=0)
+
+
+class TestOperators:
+    def test_crossover_takes_complementary_parent_genes(self, rng):
+        config = GAConfig(population_size=5, crossover_rate=1.0, mutation_rate=0.0, seed=6)
+        parents = rng.uniform(-10, 10, (5, 11))
+        children = _offspring(parents, config, generation=3)
+        used = []
+        for c0, c1 in (children[0:2], children[2:4]):
+            matches = [
+                (i, j) for i in range(5) for j in range(5) if i != j
+                and np.all(((c0 == parents[i]) & (c1 == parents[j]))
+                           | ((c0 == parents[j]) & (c1 == parents[i])))
+            ]
+            assert len(matches) == 2  # (i, j) and (j, i)
+            used.extend(matches[0])
+        (unpaired,) = set(range(5)) - set(used)
+        assert np.array_equal(children[4], parents[unpaired])
+        # crossover happened: some child mixes genes of both its parents
+        assert not any(np.array_equal(c, p) for c in children[:4] for p in parents)
+
+    def test_mutation_moves_every_gene_within_bounds(self, rng):
+        config = GAConfig(crossover_rate=0.0, mutation_rate=1.0, seed=8)
+        lo, hi = config.coefficient_bounds
+        parents = rng.uniform(-10, 10, (config.population_size, 11))
+        parents[0] = hi - 0.01
+        parents[1] = lo + 0.01
+        children = _offspring(parents, config, generation=0)
+        # every child gene differs from the same gene of every parent
+        assert np.all(children[:, None, :] != parents[None, :, :])
+        assert children.min() == lo and children.max() == hi
+
+    def test_equal_rows_is_bitwise(self):
+        bits = np.zeros((5, 11), dtype=np.uint64)
+        bits[0, 0] = 3  # same weighted sum as row 1: 3 * 1 == 1 * 3
+        bits[1, 1] = 1
+        bits[2] = bits[0]
+        bits[3, 0] = 1 << 63  # -0.0, equal to row 4's 0.0 as a float
+        same = _equal_rows(bits.view(float))
+        expected = np.eye(5, dtype=bool)
+        expected[0, 2] = expected[2, 0] = True
+        assert np.array_equal(same, expected)
 
 
 class TestFitSurface:
