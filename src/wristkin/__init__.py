@@ -17,7 +17,7 @@ from .errors import (
     SchemaError,
     WristKinError,
 )
-from .ga import Chromosome, GAConfig, fit_surface, fitness, initial_population, step_generation
+from .ga import GAConfig, fit_surface, fitness
 from .regression import (
     DataPoints,
     FitReport,
@@ -62,7 +62,6 @@ from .wrist import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chromosome",
     "DHRow",
     "DataPoints",
     "DegenerateDataError",
@@ -92,7 +91,6 @@ __all__ = [
     "fit_surface",
     "fitness",
     "forward_kinematics",
-    "initial_population",
     "inverse_kinematics",
     "invert",
     "linear_regression",
@@ -107,7 +105,6 @@ __all__ = [
     "sensor_to_base",
     "spearman_rho",
     "standardized_residuals",
-    "step_generation",
     "subject_split",
     "synthesize_session",
     "synthesize_sessions",

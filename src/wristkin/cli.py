@@ -34,6 +34,7 @@ from .errors import (
 )
 from .ga import GAConfig, fit_surface
 from .regression import (
+    _json_number,
     fit_report,
     linear_regression,
     load_surface,
@@ -125,7 +126,7 @@ def _pose_from_payload(payload, where: str) -> Pose:
         if (
             not isinstance(vec, list)
             or len(vec) != 3
-            or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vec)
+            or not all(_json_number(v) and math.isfinite(v) for v in vec)
         ):
             raise SchemaError(f"{where}: '{key}' must be 3 finite numbers")
         cols.append([float(v) for v in vec])
@@ -304,16 +305,7 @@ def _cmd_fit(args) -> int:
     surface_path = out / "surface.json"
     report_path = out / "fit_report.json"
     save_surface(surface, surface_path)
-    _write_json(
-        report_path,
-        {
-            "sse": report.sse,
-            "rmse": report.rmse,
-            "r": report.r,
-            "r_squared": report.r_squared,
-            "n": report.n,
-        },
-    )
+    _write_json(report_path, _report_payload(report))
     _write_manifest(
         out,
         "fit",
@@ -351,16 +343,7 @@ def _cmd_predict(args) -> int:
     predictions_path.write_text("\n".join(rows) + "\n")
     report = fit_report(surface, to_data_points(all_series))
     report_path = out / "predict_report.json"
-    _write_json(
-        report_path,
-        {
-            "sse": report.sse,
-            "rmse": report.rmse,
-            "r": report.r,
-            "r_squared": report.r_squared,
-            "n": report.n,
-        },
-    )
+    _write_json(report_path, _report_payload(report))
     _write_manifest(
         out,
         "predict",
@@ -516,8 +499,8 @@ def _check_session_csv(path: Path) -> str:
     return "session (no metadata)"
 
 
-_NUMBER = (lambda v: isinstance(v, (int, float)), "a number")
-_POSITIVE_INT = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
+_NUMBER = (_json_number, "a number")
+_POSITIVE_INT = (lambda v: _json_number(v, int) and v >= 1, "a positive integer")
 # numeric JSON reports: kind label -> key -> (check, what the value must be)
 _REPORTS = {
     "fit report": {**dict.fromkeys(("sse", "rmse", "r", "r_squared"), _NUMBER),
@@ -525,6 +508,11 @@ _REPORTS = {
     "validation report": {**dict.fromkeys(("n_subjects", "n_total"), _POSITIVE_INT),
                           **dict.fromkeys(("pooled_mean_mm", "pooled_sd_mm"), _NUMBER)},
 }
+
+
+def _report_payload(report) -> dict:
+    """The fit report schema's fields of a FitReport, as written by fit and predict."""
+    return {key: getattr(report, key) for key in _REPORTS["fit report"]}
 
 
 def _check_manifest_json(path: Path, payload: dict) -> None:

@@ -19,7 +19,10 @@ problem: inputs are standardized, observations are normalized, and the
 chromosome genes parameterize the surface in a data-orthonormalized
 polynomial basis (QR of the design matrix). The best chromosome is mapped
 back to plain (beta3, beta4) coefficients algebraically, so the returned
-surface is exactly the function the winning chromosome encodes.
+surface is exactly the function the winning chromosome encodes. One engine
+runs the search: ``_Problem.fitness_many`` scores a (population_size, 11)
+gene matrix and ``_step_arrays`` advances it one generation; the public
+:func:`fitness` is one row of that kernel.
 """
 
 from __future__ import annotations
@@ -100,21 +103,6 @@ class GAConfig:
         return sigma0 * (sigma1 / sigma0) ** t
 
 
-@dataclass
-class Chromosome:
-    """Eleven genes mapping onto surface coefficients (a1..a11), plus the
-    cached penalized fitness (mm^2, lower is better; None = not evaluated)."""
-
-    genes: np.ndarray
-    fitness: float | None = None
-
-    def __post_init__(self):
-        genes = np.array(self.genes, dtype=float)
-        if genes.shape != (11,):
-            raise ValueError(f"expected 11 genes, got {genes.shape}")
-        self.genes = genes
-
-
 class _Problem:
     """Fitness machinery over an arbitrary linear parameterization.
 
@@ -168,21 +156,20 @@ class _Problem:
                            POLE_PENALTY_WEIGHT * (2.0 - margin / PENALTY_DENOMINATOR_TOL), 0.0)
         return sse + penalty
 
-    def fitness_one(self, genes: np.ndarray) -> float:
-        return float(self.fitness_many(genes.reshape(1, -1))[0])
-
 
 def _box(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
     """Bounding box ((x lo, x hi), (y lo, y hi)) of the inputs."""
     return (float(x.min()), float(x.max())), (float(y.min()), float(y.max()))
 
 
-def fitness(chromosome: Chromosome, data: DataPoints, config: GAConfig) -> float:
-    """Penalized fitness of a single chromosome (SSE + pole penalty, mm^2).
-    The penalty depends on no field of ``config``."""
+def fitness(coefficients, data: DataPoints) -> float:
+    """Penalized SSE (mm^2) of plain coefficients a1..a11: one fitness_many row."""
+    genes = np.asarray(coefficients, dtype=float)
+    if genes.shape != (11,):
+        raise ValueError(f"expected 11 coefficients, got shape {genes.shape}")
     if len(data) == 0:
         raise ValueError("data must be non-empty")
-    return _Problem.from_data(data).fitness_one(chromosome.genes)
+    return float(_Problem.from_data(data).fitness_many(genes[None, :])[0])
 
 
 def _generation_stream(seed: int, generation: int) -> np.random.Generator:
@@ -193,10 +180,6 @@ def _generation_stream(seed: int, generation: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, generation)))
     )
-
-
-def _init_stream(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, 0)))
 
 
 def _equal_rows(genes: np.ndarray) -> np.ndarray:
@@ -237,7 +220,10 @@ def _step_arrays(
     config: GAConfig,
     generation: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One generation on raw arrays; the best survivor comes first."""
+    """One generation: :func:`_offspring`, then elitist truncation of
+    parents plus offspring preferring distinct genomes, best survivor
+    first. All randomness is a pure function of (config.seed, generation),
+    so replaying a generation index reproduces it exactly."""
     pop = genes.shape[0]
     offspring = _offspring(genes, config, generation)
 
@@ -266,51 +252,13 @@ def _step_arrays(
     return all_genes[keep], all_fitness[keep]
 
 
-def step_generation(
-    population: list[Chromosome],
-    data: DataPoints,
-    config: GAConfig,
-    generation: int,
-) -> list[Chromosome]:
-    """Advance one generation: random pairing, uniform crossover, Gaussian
-    mutation, then elitist truncation of parents plus offspring.
-
-    Truncation prefers distinct genomes so duplicate offspring cannot
-    crowd out worse-but-distinct parents; duplicates refill the population
-    only when fewer distinct genomes than population_size exist. All
-    randomness is a pure function of (config.seed, generation), so
-    replaying a generation index reproduces it exactly. Returns the
-    survivors with fitness filled in, best individual first.
-    """
-    if len(population) != config.population_size:
-        raise ValueError(
-            f"population size {len(population)} != config.population_size {config.population_size}"
-        )
-    problem = _Problem.from_data(data)
-    genes = np.stack([c.genes for c in population])
-    fitnesses = np.array(
-        [
-            c.fitness if c.fitness is not None else problem.fitness_one(c.genes)
-            for c in population
-        ]
-    )
-    new_genes, new_fitness = _step_arrays(genes, fitnesses, problem, config, generation)
-    return [Chromosome(g, float(f)) for g, f in zip(new_genes, new_fitness)]
-
-
 def _initial_genes(config: GAConfig) -> np.ndarray:
-    rng = _init_stream(config.seed)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, 0)))
     pop = config.population_size
     genes = np.empty((pop, 11))
     genes[:, 0::2] = rng.uniform(-INIT_WIDTH, INIT_WIDTH, (pop, 6))
     genes[:, 1::2] = rng.uniform(-INIT_DENOMINATOR_WIDTH, INIT_DENOMINATOR_WIDTH, (pop, 5))
     return genes
-
-
-def initial_population(config: GAConfig) -> list[Chromosome]:
-    """Seeded random chromosomes; numerator slots span +-INIT_WIDTH,
-    denominator slots +-INIT_DENOMINATOR_WIDTH (unevaluated)."""
-    return [Chromosome(g) for g in _initial_genes(config)]
 
 
 class _Preconditioner:

@@ -180,6 +180,13 @@ def save_surface(surface: RationalQuadricSurface, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _json_number(value, kind=(int, float)) -> bool:
+    """Whether a decoded JSON value is a number (an integer, with
+    ``kind=int``). JSON true/false decode to bool, an int subclass, and are
+    no numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def load_surface(path) -> RationalQuadricSurface:
     """Read a surface JSON file, validating the schema."""
     try:
@@ -193,7 +200,7 @@ def load_surface(path) -> RationalQuadricSurface:
         if (
             not isinstance(vals, list)
             or len(vals) != count
-            or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals)
+            or not all(_json_number(v) and math.isfinite(v) for v in vals)
         ):
             raise SchemaError(f"{path}: '{key}' must be {count} finite numbers")
     if payload.get("angle_unit") != "rad":

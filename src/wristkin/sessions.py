@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import OrientationError, SchemaError
-from .regression import DataPoints, RationalQuadricSurface
+from .regression import DataPoints, RationalQuadricSurface, _json_number
 from .transforms import _check_rigid, _flagged, _gram_drift, invert
 from .wrist import HALF_PI, SubjectParams, _fk_arrays, _ik_arrays, sensor_frame_transform
 
@@ -175,13 +175,13 @@ def _parse_meta(meta_file) -> tuple[SubjectParams, SessionProtocol | None, str]:
     if not isinstance(subject_id, str):
         raise SchemaError(f"{meta_file}: subject_id must be a string")
     a4 = payload.get("a4_mm")
-    if not isinstance(a4, (int, float)) or not math.isfinite(a4) or a4 <= 0:
+    if not _json_number(a4) or not math.isfinite(a4) or a4 <= 0:
         raise SchemaError(f"{meta_file}: a4_mm must be a positive number")
     p_lorg = payload.get("p_lorg_mm")
     if (
         not isinstance(p_lorg, list)
         or len(p_lorg) != 3
-        or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in p_lorg)
+        or not all(_json_number(v) and math.isfinite(v) for v in p_lorg)
     ):
         raise SchemaError(f"{meta_file}: p_lorg_mm must be 3 finite numbers")
     handedness = payload.get("handedness")
@@ -192,9 +192,9 @@ def _parse_meta(meta_file) -> tuple[SubjectParams, SessionProtocol | None, str]:
         proto = payload["protocol"]
         if (
             not isinstance(proto, dict)
-            or not isinstance(proto.get("cycles"), int)
+            or not _json_number(proto.get("cycles"), int)
             or proto["cycles"] < 1
-            or not isinstance(proto.get("duration_s"), (int, float))
+            or not _json_number(proto.get("duration_s"))
             or proto["duration_s"] <= 0
         ):
             raise SchemaError(

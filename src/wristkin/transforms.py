@@ -145,38 +145,6 @@ class DHRow:
             raise ValueError(f"D-H row fields must be finite, got {vals}")
 
 
-def rot_x(angle: float) -> np.ndarray:
-    """4x4 rotation about the x axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    t = np.eye(4)
-    t[1, 1], t[1, 2] = c, -s
-    t[2, 1], t[2, 2] = s, c
-    return t
-
-
-def rot_z(angle: float) -> np.ndarray:
-    """4x4 rotation about the z axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    t = np.eye(4)
-    t[0, 0], t[0, 1] = c, -s
-    t[1, 0], t[1, 1] = s, c
-    return t
-
-
-def trans_x(length: float) -> np.ndarray:
-    """4x4 translation along the x axis."""
-    t = np.eye(4)
-    t[0, 3] = length
-    return t
-
-
-def trans_z(length: float) -> np.ndarray:
-    """4x4 translation along the z axis."""
-    t = np.eye(4)
-    t[2, 3] = length
-    return t
-
-
 def dh_link_transform(row: DHRow) -> Pose:
     """Link transform Rot_X(alpha) @ Trans_X(a) @ Rot_Z(theta) @ Trans_Z(d).
 

@@ -22,19 +22,18 @@ from wristkin import (
     fit_report,
     fit_surface,
     forward_kinematics,
-    initial_population,
     inverse_kinematics,
     link_transforms,
     lowess,
     reference_surface,
     spearman_rho,
-    step_generation,
     subject_split,
     synthesize_sessions,
     to_data_points,
     validation_stats,
 )
 from wristkin.cli import run
+from wristkin.ga import _initial_genes, _Problem, _step_arrays
 
 from test_lowess import lowess_oracle
 
@@ -249,13 +248,14 @@ def test_criterion_10_ga_convergence_log():
     data = DataPoints(x, y, z)
     config = GAConfig(seed=10, generations=5000)
     lo, hi = config.coefficient_bounds
-    population = step_generation(initial_population(config), data, config, 0)
-    best_log = [min(c.fitness for c in population)]
+    problem = _Problem.from_data(data)
+    genes = _initial_genes(config)
+    fitnesses = problem.fitness_many(genes)
+    best_log = []
     bound_violations = 0
-    for generation in range(1, 5000):
-        population = step_generation(population, data, config, generation)
-        best_log.append(min(c.fitness for c in population))
-        genes = np.stack([c.genes for c in population])
+    for generation in range(5000):
+        genes, fitnesses = _step_arrays(genes, fitnesses, problem, config, generation)
+        best_log.append(float(fitnesses.min()))
         if genes.min() < lo or genes.max() > hi:
             bound_violations += 1
     increases = sum(1 for a, b in zip(best_log, best_log[1:]) if b > a)

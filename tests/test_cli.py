@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import math
@@ -293,7 +294,63 @@ MALFORMED = [
 ]
 
 
+# one valid JSON document per schema that reads numbers, by file name
+# ("pose" goes to ik on stdin, the rest to check)
+VALID_JSON = {
+    "surface.json": {"numerator": [20.0, 0, 0, 0, 0, 0], "denominator": [0.0] * 5,
+                     "angle_unit": "rad"},
+    "fit_report.json": {"sse": 1.5, "rmse": 0.5, "r": 0.9, "r_squared": 0.81, "n": 6},
+    "validate_report.json": {"n_subjects": 2, "n_total": 12, "pooled_mean_mm": 0.1,
+                             "pooled_sd_mm": 0.4},
+    "s.meta.json": {"subject_id": "s", "a4_mm": 100.0, "p_lorg_mm": [0.0, 0.0, 0.0],
+                    "handedness": "right", "protocol": {"cycles": 2, "duration_s": 6.0}},
+    "pose": {"n": [1, 0, 0], "o": [0, 1, 0], "a": [0, 0, 1], "p": [0, 0, 100]},
+}
+
+# a JSON boolean where each schema reads a number: document, path to the
+# field, part of the error line. Booleans decode to bool, an int subclass.
+BOOLEAN_FIELDS = [
+    ("surface.json", ("numerator", 0), "'numerator' must be 6 finite numbers"),
+    ("fit_report.json", ("sse",), "'sse' must be a number"),
+    ("fit_report.json", ("n",), "'n' must be a positive integer"),
+    ("validate_report.json", ("n_subjects",), "'n_subjects' must be a positive integer"),
+    ("s.meta.json", ("a4_mm",), "a4_mm must be a positive number"),
+    ("s.meta.json", ("p_lorg_mm", 1), "p_lorg_mm must be 3 finite numbers"),
+    ("s.meta.json", ("protocol", "cycles"), "protocol must hold integer cycles"),
+    ("s.meta.json", ("protocol", "duration_s"), "protocol must hold integer cycles"),
+    ("pose", ("a", 2), "stdin: 'a' must be 3 finite numbers"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("name, field, message", BOOLEAN_FIELDS,
+                             ids=[f"{name} {'.'.join(map(str, field))}"
+                                  for name, field, _ in BOOLEAN_FIELDS])
+    def test_boolean_is_not_a_number(self, name, field, message, tmp_path, capsys,
+                                     monkeypatch):
+        payload = copy.deepcopy(VALID_JSON[name])
+        path = tmp_path / name
+        argv = ["ik", "--pose", "-", "--a4", "100"] if name == "pose" else ["check", str(path)]
+
+        def run_with(doc):
+            path.write_text(json.dumps(doc))
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+            return run(argv)
+
+        assert run_with(payload) == 0
+        capsys.readouterr()
+        *parents, key = field
+        target = payload
+        for step in parents:
+            target = target[step]
+        target[key] = True
+        assert run_with(payload) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+
     @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda argv: " ".join(argv[-2:]))
     def test_out_of_range_argument_is_usage_error(self, argv, tmp_path, capsys):
         assert run([*argv, "--out", str(tmp_path / "o")]) == 2

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from wristkin import (
-    Chromosome,
     DataPoints,
     DegenerateDataError,
     GAConfig,
     RationalQuadricSurface,
     fit_surface,
     fitness,
-    initial_population,
-    step_generation,
 )
 from wristkin.ga import (
     INIT_WIDTH,
@@ -22,8 +19,10 @@ from wristkin.ga import (
     PENALTY_DENOMINATOR_TOL,
     POLE_PENALTY_WEIGHT,
     _equal_rows,
+    _initial_genes,
     _offspring,
     _Problem,
+    _step_arrays,
 )
 
 PROTOCOL_X = (math.pi / 2 - 0.0873, math.pi / 2 + 0.0873)
@@ -43,17 +42,14 @@ def planar_points(rng, n=300, noise=0.0):
 class TestFitness:
     def test_exact_surface_scores_zero(self, rng):
         truth, x, y, data = planar_points(rng, 120)
-        chrom = Chromosome(truth.coefficients)
-        assert fitness(chrom, data, GAConfig()) <= 1e-9
+        assert fitness(truth.coefficients, data) <= 1e-9
 
     def test_mean_predictor_scores_sst(self, rng):
         _, x, y, data = planar_points(rng, 120)
         z = data.z
-        chrom = Chromosome(
-            RationalQuadricSurface([z.mean(), 0, 0, 0, 0, 0], [0.0] * 5).coefficients
-        )
+        coefficients = RationalQuadricSurface([z.mean(), 0, 0, 0, 0, 0], [0.0] * 5).coefficients
         sst = float(np.sum((z - z.mean()) ** 2))
-        assert fitness(chrom, data, GAConfig()) == pytest.approx(sst, rel=1e-12)
+        assert fitness(coefficients, data) == pytest.approx(sst, rel=1e-12)
 
     def test_pole_inside_grid_is_penalized(self):
         # denominator 1 - 3.9996*x + 3.9996*x^2 dips to 1e-4 at x = 0.5,
@@ -66,7 +62,7 @@ class TestFitness:
         y = np.linspace(-1, 1, 20)
         z = np.asarray(surface.evaluate(x, y))
         data = DataPoints(x, y, z)
-        value = fitness(Chromosome(surface.coefficients), data, GAConfig())
+        value = fitness(surface.coefficients, data)
         assert value >= POLE_PENALTY_WEIGHT
 
     def test_sign_change_between_data_points_is_penalized(self):
@@ -76,7 +72,7 @@ class TestFitness:
         x = np.array([0.0] * 10 + [1.0] * 10)
         y = np.linspace(0, 1, 20)
         data = DataPoints(x, y, np.asarray(surface.evaluate(x, y)))
-        assert fitness(Chromosome(surface.coefficients), data, GAConfig()) >= POLE_PENALTY_WEIGHT
+        assert fitness(surface.coefficients, data) >= POLE_PENALTY_WEIGHT
 
     def test_batch_kernel_matches_oracle(self, rng):
         # every row of every batch size 1..20 against math.fsum of
@@ -128,61 +124,65 @@ class TestFitness:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            fitness(Chromosome(np.zeros(11)), DataPoints([], [], []), GAConfig())
+            fitness(np.zeros(11), DataPoints([], [], []))
+
+    def test_coefficient_shape_checked(self, rng):
+        _, _, _, data = planar_points(rng, 20)
+        for shape in ((10,), (12,), (1, 11)):
+            with pytest.raises(ValueError, match="expected 11 coefficients"):
+                fitness(np.zeros(shape), data)
+
+
+def initial_state(problem, config):
+    """The evaluated seeded population fit_surface starts from, unsorted."""
+    genes = _initial_genes(config)
+    return genes, problem.fitness_many(genes)
 
 
 class TestStepGeneration:
     def test_no_op_operators_keep_multiset(self, rng):
         _, _, _, data = planar_points(rng, 60)
         config = GAConfig(crossover_rate=0.0, mutation_rate=0.0, seed=3)
-        pop = initial_population(config)
-        out = step_generation(pop, data, config, generation=0)
-        before = np.sort(np.stack([c.genes for c in pop]), axis=0)
-        after = np.sort(np.stack([c.genes for c in out]), axis=0)
-        assert np.array_equal(before, after)
+        problem = _Problem.from_data(data)
+        genes, fits = initial_state(problem, config)
+        out, _ = _step_arrays(genes, fits, problem, config, generation=0)
+        assert np.array_equal(np.sort(genes, axis=0), np.sort(out, axis=0))
 
     def test_identical_population_fixed_point(self, rng):
         _, _, _, data = planar_points(rng, 60)
         config = GAConfig(mutation_rate=0.0, seed=5)
-        genes = np.linspace(-1, 1, 11)
-        pop = [Chromosome(genes.copy()) for _ in range(config.population_size)]
-        out = step_generation(pop, data, config, generation=7)
-        for c in out:
-            assert np.array_equal(c.genes, genes)
+        problem = _Problem.from_data(data)
+        genes = np.tile(np.linspace(-1, 1, 11), (config.population_size, 1))
+        out, _ = _step_arrays(genes, problem.fitness_many(genes), problem, config, generation=7)
+        for row in out:
+            assert np.array_equal(row, genes[0])
 
     def test_determinism_replay(self, rng):
         _, _, _, data = planar_points(rng, 60)
         config = GAConfig(seed=11)
+        problem = _Problem.from_data(data)
 
         def trajectory():
-            pop = initial_population(config)
+            genes, fits = initial_state(problem, config)
             states = []
             for g in range(40):
-                pop = step_generation(pop, data, config, generation=g)
-                states.append(np.stack([c.genes for c in pop]).tobytes())
+                genes, fits = _step_arrays(genes, fits, problem, config, generation=g)
+                states.append(genes.tobytes())
             return states
 
         assert trajectory() == trajectory()
 
-    def test_population_size_checked(self, rng):
-        _, _, _, data = planar_points(rng, 60)
-        config = GAConfig(seed=1)
-        with pytest.raises(ValueError):
-            step_generation([Chromosome(np.zeros(11))], data, config, 0)
-
     def test_bounds_and_monotone_best(self, rng):
         _, _, _, data = planar_points(rng, 80, noise=0.5)
         config = GAConfig(seed=2, generations=300)
-        pop = initial_population(config)
         lo, hi = config.coefficient_bounds
         problem = _Problem.from_data(data)
+        genes, fits = initial_state(problem, config)
         best = math.inf
         for g in range(300):
-            pop = step_generation(pop, data, config, generation=g)
-            fits = [c.fitness for c in pop]
-            assert min(fits) <= best + 1e-12
-            best = min(fits)
-            genes = np.stack([c.genes for c in pop])
+            genes, fits = _step_arrays(genes, fits, problem, config, generation=g)
+            assert fits.min() <= best + 1e-12
+            best = fits.min()
             assert genes.min() >= lo and genes.max() <= hi
             # reused values belong to the genes they are attached to
             assert np.allclose(fits, problem.fitness_many(genes), rtol=1e-9, atol=0)
