@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateDataError
 from .regression import (
@@ -59,6 +58,9 @@ MUTATION_SIGMA_FINAL_FRAC = 1e-6
 # STALL_TOLERANCE (mm^2) for STALL_GENERATIONS consecutive generations
 STALL_GENERATIONS = 500
 STALL_TOLERANCE = 1e-9
+# fit_surface rejects an input column whose spread (max - min) is at most
+# this fraction of its largest magnitude: nearly constant, it cannot be fitted
+SPREAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -291,9 +293,11 @@ class _Preconditioner:
             scale = math.sqrt(x.size)
             self.num_basis = qn * scale
             self.den_basis = qd * scale
-            # coefficient maps: design @ Mn == num_basis, design[:,1:] @ Md == den_basis
-            self.Mn = solve_triangular(rn, np.eye(6)) * scale
-            self.Md = solve_triangular(rd, np.eye(5)) * scale
+            # coefficient maps: design @ Mn == num_basis, design[:,1:] @ Md == den_basis.
+            # Kept in Fortran order: the products with them pick their BLAS
+            # kernel by layout, and a C-ordered map moves the fit's last digit
+            self.Mn = np.asfortranarray(np.linalg.inv(rn)) * scale
+            self.Md = np.asfortranarray(np.linalg.inv(rd)) * scale
         else:
             self.num_basis = design
             self.den_basis = design[:, 1:]
@@ -343,7 +347,8 @@ def fit_surface(
 ) -> tuple[RationalQuadricSurface, FitReport]:
     """Fit the eleven coefficients to data by minimizing penalized SSE.
 
-    Requires at least 20 points with non-degenerate x, y and z. Runs up to
+    Requires at least 20 points, and x, y and z columns whose spread
+    exceeds SPREAD_TOL of their largest magnitude. Runs up to
     config.generations generations of the preconditioned GA with the
     stall-based early stop, then returns the best surface (in plain
     coefficients, verified pole-free on the data's bounding box) and its
@@ -352,10 +357,13 @@ def fit_surface(
     if len(data) < 20:
         raise ValueError(f"need at least 20 data points, got {len(data)}")
     x, y, z, w = data.x, data.y, data.z, data.w
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise DegenerateDataError("x or y values are all identical")
-    if np.ptp(z) == 0.0:
-        raise DegenerateDataError("observations are all identical")
+    for name, column in (("beta3 (x)", x), ("beta4 (y)", y), ("d2 (z)", z)):
+        spread = float(np.ptp(column))
+        if spread <= SPREAD_TOL * float(np.abs(column).max()):
+            raise DegenerateDataError(
+                f"{name} values are nearly constant: spread {spread:.3g}, "
+                f"at most {SPREAD_TOL:g} of their largest magnitude"
+            )
 
     pre = _Preconditioner(x, y, z)
     problem = _Problem(

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateDataError, PoleError, SchemaError
 from .transforms import _flagged
@@ -387,6 +386,22 @@ def lowess(x, y, frac: float = 2.0 / 3.0, iterations: int = 3) -> np.ndarray:
     return yest
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d float array, each tie group sharing its
+    average rank; all NaN when ``a`` holds a NaN, so the NaN carries
+    through to rho."""
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a)
+    ordered = a[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # -0.0 ties 0.0
+    group = np.empty(a.size, dtype=np.intp)
+    group[order] = np.cumsum(starts)
+    # group g holds the sorted positions ends[g - 1] .. ends[g] - 1
+    ends = np.append(np.flatnonzero(starts), a.size)
+    return 0.5 * (ends[group] + ends[group - 1] + 1)
+
+
 def spearman_rho(x, y) -> float:
     """Spearman rank correlation (average ranks for ties).
 
@@ -400,7 +415,7 @@ def spearman_rho(x, y) -> float:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 2:
         raise ValueError("need at least 2 points")
-    rho = _pearson(rankdata(x), rankdata(y))
+    rho = _pearson(_average_ranks(x), _average_ranks(y))
     if math.isnan(rho):
         raise DegenerateDataError("rank variance is zero (constant input)")
     return rho

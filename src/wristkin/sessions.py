@@ -195,10 +195,11 @@ def _parse_meta(meta_file) -> tuple[SubjectParams, SessionProtocol | None, str]:
             or not _json_number(proto.get("cycles"), int)
             or proto["cycles"] < 1
             or not _json_number(proto.get("duration_s"))
+            or not math.isfinite(proto["duration_s"])
             or proto["duration_s"] <= 0
         ):
             raise SchemaError(
-                f"{meta_file}: protocol must hold integer cycles >= 1 and duration_s > 0"
+                f"{meta_file}: protocol must hold integer cycles >= 1 and finite duration_s > 0"
             )
         protocol = SessionProtocol(cycles=proto["cycles"], duration_s=float(proto["duration_s"]))
     subject = SubjectParams(a4=float(a4), p_lorg=np.array(p_lorg, dtype=float), subject_id=subject_id)
@@ -282,7 +283,7 @@ def save_session(session: TrackingSession, data_file, meta_file) -> None:
             "cycles": session.protocol.cycles,
             "duration_s": float(session.protocol.duration_s),
         }
-    Path(meta_file).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    Path(meta_file).write_text(json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def derive_joint_series(session: TrackingSession) -> JointSeries:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -8,10 +9,13 @@ import pytest
 from wristkin import (
     JointState,
     RationalQuadricSurface,
+    SchemaError,
+    SessionProtocol,
     SubjectParams,
     derive_joint_series,
     forward_kinematics,
     load_session,
+    save_session,
     save_surface,
 )
 from wristkin.cli import run
@@ -350,6 +354,30 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_duration_is_a_schema_error(self, literal, data_dir, capsys):
+        csv, meta = data_dir / "subject_00.csv", data_dir / "subject_00.meta.json"
+        assert run(["check", str(meta)]) == 0
+        capsys.readouterr()
+        payload = json.loads(meta.read_text())
+        payload["protocol"]["duration_s"] = float(literal)
+        meta.write_text(json.dumps(payload))
+        assert f'"duration_s": {literal}' in meta.read_text()
+        assert run(["check", str(meta)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "finite duration_s > 0" in lines[0]
+        with pytest.raises(SchemaError, match="finite duration_s"):
+            load_session(csv, meta)
+
+    def test_session_metadata_is_standard_json(self, data_dir, tmp_path):
+        session = load_session(data_dir / "subject_00.csv", data_dir / "subject_00.meta.json")
+        session = dataclasses.replace(session, protocol=SessionProtocol(2, float("nan")))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_session(session, tmp_path / "s.csv", tmp_path / "s.meta.json")
 
     @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda argv: " ".join(argv[-2:]))
     def test_out_of_range_argument_is_usage_error(self, argv, tmp_path, capsys):

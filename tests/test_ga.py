@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,9 +22,11 @@ from wristkin.ga import (
     _equal_rows,
     _initial_genes,
     _offspring,
+    _Preconditioner,
     _Problem,
     _step_arrays,
 )
+from wristkin.regression import quadric_design
 
 PROTOCOL_X = (math.pi / 2 - 0.0873, math.pi / 2 + 0.0873)
 PROTOCOL_Y = (-0.1745, 0.5236)
@@ -269,6 +272,42 @@ class TestFitSurface:
         data = DataPoints(np.full(30, 1.5), np.linspace(0, 1, 30), z)
         with pytest.raises(DegenerateDataError):
             fit_surface(data, GAConfig(seed=0))
+
+    @pytest.mark.parametrize("column, centre, spread, name", [
+        (1, 0.17, 1e-13, "beta4 (y)"),
+        (0, 1.5, 1e-9, "beta3 (x)"),
+        (2, 20.0, 1e-12, "d2 (z)"),
+    ], ids=["y spread 1e-13", "x spread 1e-9", "z spread 1e-12"])
+    def test_near_constant_column_rejected_up_front(self, rng, monkeypatch, column, centre,
+                                                     spread, name):
+        _, x, y, data = planar_points(rng, 400, noise=0.1)
+        columns = [x, y, data.z]
+        columns[column] = centre + rng.uniform(0.0, spread, 400)
+
+        def no_search(*args):
+            raise AssertionError("the GA started on a near-constant column")
+
+        monkeypatch.setattr("wristkin.ga._Preconditioner", no_search)
+        with pytest.raises(DegenerateDataError, match=rf"^{re.escape(name)} values are nearly"):
+            fit_surface(DataPoints(*columns), GAConfig(seed=0, generations=2000))
+
+    def test_small_relative_spread_still_fits(self, rng):
+        _, x, y, _ = planar_points(rng, 400)
+        z = 20.0 * (1.0 + rng.uniform(0.0, 1e-6, 400))
+        surface, report = fit_surface(DataPoints(x, y, z), GAConfig(seed=0, generations=300))
+        assert np.isfinite(surface.coefficients).all()
+        assert report.rmse < 1e-5
+
+
+class TestPreconditioner:
+    def test_documented_coefficient_maps(self, rng):
+        _, x, y, data = planar_points(rng, 200, noise=0.5)
+        pre = _Preconditioner(x, y, data.z)
+        design = quadric_design(pre.u, pre.v)
+        assert not np.array_equal(pre.Mn, np.eye(6))  # the full-rank branch
+        for got, want in ((design @ pre.Mn, pre.num_basis),
+                          (design[:, 1:] @ pre.Md, pre.den_basis)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 class TestGAConfig:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.stats import rankdata
 
 from wristkin import (
     DataPoints,
@@ -19,7 +20,7 @@ from wristkin import (
     spearman_rho,
     standardized_residuals,
 )
-from wristkin.regression import quadric_range
+from wristkin.regression import _average_ranks, quadric_range
 
 
 def make_points(x, y, z, w=None):
@@ -313,6 +314,36 @@ class TestSpearman:
         base = spearman_rho(x, y)
         assert spearman_rho(np.exp(x / 5.0), y) == pytest.approx(base, abs=1e-12)
         assert spearman_rho(x, y**3) == pytest.approx(base, abs=1e-12)
+
+
+def _rank_inputs(seed):
+    """Seeded arrays of lengths 2 to 3 000: many ties, -0.0 beside 0.0, +-inf."""
+    rng = np.random.default_rng(seed)
+    for n in [*range(2, 12), 50, 333, 1000, 2001, 3000]:
+        yield rng.integers(-3, 4, n).astype(float)
+        yield rng.integers(0, max(2, n // 4), n).astype(float)
+        signed_zeros = rng.normal(size=n)
+        signed_zeros[rng.random(n) < 0.4] = 0.0
+        signed_zeros[rng.random(n) < 0.3] = -0.0
+        yield signed_zeros
+        infs = rng.integers(-2, 3, n).astype(float)
+        infs[rng.random(n) < 0.2] = np.inf
+        infs[rng.random(n) < 0.2] = -np.inf
+        yield infs
+        yield rng.normal(size=n)
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_rankdata(self, seed):
+        for values in _rank_inputs(seed):
+            assert np.array_equal(_average_ranks(values), rankdata(values)), values
+
+    def test_nan_propagates(self):
+        assert np.isnan(_average_ranks(np.array([3.0, np.nan, 1.0]))).all()
+        with pytest.raises(DegenerateDataError):
+            spearman_rho([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0])
+        assert math.isnan(linear_regression([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0]).rho)
 
 
 class TestLinearRegression:
