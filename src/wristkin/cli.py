@@ -34,7 +34,11 @@ from .errors import (
 )
 from .ga import GAConfig, fit_surface
 from .regression import (
+    _finite_numbers,
     _json_number,
+    _json_object,
+    _read_text,
+    _surface_from_payload,
     fit_report,
     linear_regression,
     load_surface,
@@ -47,6 +51,7 @@ from .sessions import (
     SESSION_HEADER,
     SyntheticConfig,
     TrackingSession,
+    _csv_numbers,
     _parse_data,
     _parse_meta,
     _session_predictions,
@@ -117,19 +122,13 @@ def _pose_payload(pose: Pose) -> dict:
     }
 
 
-def _pose_from_payload(payload, where: str) -> Pose:
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
+def _pose_from_payload(payload: dict, where) -> Pose:
+    """The pose of a decoded pose JSON object (``ik``'s input, ``fk``'s output)."""
     cols = []
     for key in ("n", "o", "a", "p"):
-        vec = payload.get(key)
-        if (
-            not isinstance(vec, list)
-            or len(vec) != 3
-            or not all(_json_number(v) and math.isfinite(v) for v in vec)
-        ):
+        if not _finite_numbers(payload.get(key), 3):
             raise SchemaError(f"{where}: '{key}' must be 3 finite numbers")
-        cols.append([float(v) for v in vec])
+        cols.append([float(v) for v in payload[key]])
     r = np.column_stack(cols[:3])
     try:
         return Pose(r, np.array(cols[3]))
@@ -198,16 +197,10 @@ def _cmd_fk(args) -> int:
 
 def _cmd_ik(args) -> int:
     if args.pose == "-":
-        text = sys.stdin.read()
-        where = "stdin"
+        text, where = sys.stdin.read(), "stdin"
     else:
-        text = Path(args.pose).read_text()
-        where = args.pose
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
-    pose = _pose_from_payload(payload, where)
+        text, where = _read_text(args.pose), args.pose
+    pose = _pose_from_payload(_json_object(text, where), where)
     state = inverse_kinematics(pose, SubjectParams(a4=args.a4))
     unit = args.angle_unit
     result = {
@@ -476,55 +469,89 @@ def _cmd_stats(args) -> int:
 # --- check -----------------------------------------------------------------
 
 
-def _check_csv_rows(path: Path, n_cols: int, numeric_from: int) -> None:
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise SchemaError(f"{path} row {i}: expected {n_cols} columns, got {len(parts)}")
-        for value in parts[numeric_from:]:
-            try:
-                float(value)
-            except ValueError as exc:
-                raise SchemaError(f"{path} row {i}: non-numeric field {value!r}") from exc
-
-
-def _check_session_csv(path: Path) -> str:
+def _session_csv(lines: list[str], path: Path) -> str:
+    """The loader's checks of a session data file, with its metadata file
+    when there is one; returns which metadata was used."""
     meta = path.with_name(path.stem + ".meta.json")
-    if meta.exists():
-        load_session(path, meta)
-        return f"session ({meta.name})"
-    # no metadata: the loader's checks of the data file alone
-    _parse_data(path)
-    return "session (no metadata)"
+    if not meta.exists():
+        _parse_data(lines, path)
+        return "no metadata"
+    subject, protocol, handedness = _parse_meta(_json_object(_read_text(meta), meta), meta)
+    TrackingSession(subject, *_parse_data(lines, path), protocol, handedness)
+    return meta.name
 
 
+def _numbers_from(first: int):
+    """Check of an output CSV: rows as wide as the header, numbers from
+    column ``first`` on."""
+    return lambda lines, path: _csv_numbers(lines[1:], path, lines[0].count(",") + 1, first)
+
+
+def _fields(schema: dict):
+    """Check of a decoded JSON object against ``{key: (ok, what)}``: each
+    value must pass ``ok``, else ``'{key}' must be {what}``."""
+
+    def check(payload: dict, where) -> None:
+        for key, (ok, what) in schema.items():
+            if not ok(payload.get(key)):
+                raise SchemaError(f"{where}: '{key}' must be {what}")
+
+    return check
+
+
+def _object_of(schema: dict):
+    return lambda v: isinstance(v, dict) and all(ok(v.get(k)) for k, (ok, _) in schema.items())
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
 _NUMBER = (_json_number, "a number")
 _POSITIVE_INT = (lambda v: _json_number(v, int) and v >= 1, "a positive integer")
-# numeric JSON reports: kind label -> key -> (check, what the value must be)
-_REPORTS = {
-    "fit report": {**dict.fromkeys(("sse", "rmse", "r", "r_squared"), _NUMBER),
-                   "n": _POSITIVE_INT},
-    "validation report": {**dict.fromkeys(("n_subjects", "n_total"), _POSITIVE_INT),
-                          **dict.fromkeys(("pooled_mean_mm", "pooled_sd_mm"), _NUMBER)},
+_FIT_REPORT = {**dict.fromkeys(("sse", "rmse", "r", "r_squared"), _NUMBER), "n": _POSITIVE_INT}
+_VALIDATION_REPORT = {**dict.fromkeys(("n_subjects", "n_total"), _POSITIVE_INT),
+                      **dict.fromkeys(("pooled_mean_mm", "pooled_sd_mm"), _NUMBER)}
+_JOINT_STATE = {"angle_unit": (lambda v: v in ("deg", "rad"), "'deg' or 'rad'"),
+                **dict.fromkeys(("theta3", "beta3", "theta4", "beta4", "d2_mm"), _NUMBER)}
+_REGRESSION = {"n": _POSITIVE_INT,
+               **dict.fromkeys(("slope_mm_per_rad", "intercept_mm", "spearman"), _NUMBER)}
+_STATS = {
+    "pooled": (_object_of(_REGRESSION),
+               "an object of n, slope_mm_per_rad, intercept_mm and spearman"),
+    "per_subject": (_list_of(_object_of({"subject_id": _STRING, **_REGRESSION})),
+                    "a list of such objects, each with a string subject_id"),
+}
+_MANIFEST = {**dict.fromkeys(("command", "version"), _STRING),
+             "parameters": (lambda v: isinstance(v, dict), "an object"),
+             **dict.fromkeys(("inputs", "outputs"), (_list_of(_STRING[0]), "a list of strings"))}
+
+# JSON kinds, first match wins: (keys that identify the kind, kind label,
+# check of the decoded object)
+_JSON_KINDS = [
+    ({"numerator", "denominator", "angle_unit"}, "surface", _surface_from_payload),
+    (_FIT_REPORT.keys(), "fit report", _fields(_FIT_REPORT)),
+    (_VALIDATION_REPORT.keys(), "validation report", _fields(_VALIDATION_REPORT)),
+    ({"subject_id", "a4_mm", "p_lorg_mm", "handedness"}, "session metadata", _parse_meta),
+    ({"command", "version"}, "manifest", _fields(_MANIFEST)),
+    (_STATS.keys(), "stats", _fields(_STATS)),
+    ({"n", "o", "a", "p"}, "pose", _pose_from_payload),
+    (_JOINT_STATE.keys(), "joint state", _fields(_JOINT_STATE)),
+]
+# CSV header -> (kind label, check of the file's lines, which may return a
+# detail for the label)
+_CSV_KINDS = {
+    SESSION_HEADER: ("session", _session_csv),
+    PER_SUBJECT_HEADER: ("per-subject validation", _numbers_from(1)),
+    RESIDUALS_HEADER: ("residual series", _numbers_from(0)),
+    PREDICTIONS_HEADER: ("predictions", _numbers_from(1)),
 }
 
 
 def _report_payload(report) -> dict:
     """The fit report schema's fields of a FitReport, as written by fit and predict."""
-    return {key: getattr(report, key) for key in _REPORTS["fit report"]}
-
-
-def _check_manifest_json(path: Path, payload: dict) -> None:
-    if not isinstance(payload.get("command"), str):
-        raise SchemaError(f"{path}: 'command' must be a string")
-    if not isinstance(payload.get("version"), str):
-        raise SchemaError(f"{path}: 'version' must be a string")
-    if not isinstance(payload.get("parameters"), dict):
-        raise SchemaError(f"{path}: 'parameters' must be an object")
-    for key in ("inputs", "outputs"):
-        if not isinstance(payload.get(key), list):
-            raise SchemaError(f"{path}: '{key}' must be a list")
+    return {key: getattr(report, key) for key in _FIT_REPORT}
 
 
 def _check_one(path: Path) -> str:
@@ -532,46 +559,20 @@ def _check_one(path: Path) -> str:
     if not path.exists():
         raise SchemaError(f"{path}: no such file")
     if path.suffix == ".json":
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise SchemaError(f"{path}: expected a JSON object")
-        keys = payload.keys()
-        if {"numerator", "denominator", "angle_unit"} <= keys:
-            load_surface(path)
-            return "surface"
-        for kind, schema in _REPORTS.items():
-            if schema.keys() <= keys:
-                for key, (ok, what) in schema.items():
-                    if not ok(payload[key]):
-                        raise SchemaError(f"{path}: '{key}' must be {what}")
-                return kind
-        if {"subject_id", "a4_mm", "p_lorg_mm", "handedness"} <= keys:
-            _parse_meta(path)
-            return "session metadata"
-        if {"command", "version"} <= keys:
-            _check_manifest_json(path, payload)
-            return "manifest"
-        if {"pooled", "per_subject"} <= keys:
-            return "stats"
+        payload = _json_object(_read_text(path), path)
+        for keys, label, check in _JSON_KINDS:
+            if keys <= payload.keys():
+                check(payload, path)
+                return label
         raise SchemaError(f"{path}: unrecognized JSON document")
     if path.suffix == ".csv":
-        first = path.read_text().splitlines()
-        header = first[0] if first else ""
-        if header == SESSION_HEADER:
-            return _check_session_csv(path)
-        if header == PER_SUBJECT_HEADER:
-            _check_csv_rows(path, 10, 1)
-            return "per-subject validation"
-        if header == RESIDUALS_HEADER:
-            _check_csv_rows(path, 4, 0)
-            return "residual series"
-        if header == PREDICTIONS_HEADER:
-            _check_csv_rows(path, 6, 1)
-            return "predictions"
-        raise SchemaError(f"{path}: unrecognized CSV header {header!r}")
+        lines = _read_text(path).splitlines()
+        header = lines[0] if lines else ""
+        if header not in _CSV_KINDS:
+            raise SchemaError(f"{path}: unrecognized CSV header {header!r}")
+        label, check = _CSV_KINDS[header]
+        detail = check(lines, path)
+        return f"{label} ({detail})" if isinstance(detail, str) else label
     raise SchemaError(f"{path}: unsupported file type {path.suffix!r}")
 
 

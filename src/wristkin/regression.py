@@ -186,25 +186,44 @@ def _json_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _finite_numbers(value, count: int) -> bool:
+    """Whether a decoded JSON value is a list of ``count`` finite numbers."""
+    return isinstance(value, list) and len(value) == count and all(
+        _json_number(v) and math.isfinite(v) for v in value)
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; other bytes are a SchemaError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def _json_object(text: str, where) -> dict:
+    """Decode a JSON document that must be an object; ``where`` names it in errors."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
+    return payload
+
+
+def _surface_from_payload(payload: dict, where) -> RationalQuadricSurface:
+    """The surface of a decoded surface JSON object, validating the schema."""
+    for key, count in (("numerator", 6), ("denominator", 5)):
+        if not _finite_numbers(payload.get(key), count):
+            raise SchemaError(f"{where}: '{key}' must be {count} finite numbers")
+    if payload.get("angle_unit") != "rad":
+        raise SchemaError(f"{where}: angle_unit must be 'rad'")
+    return RationalQuadricSurface(payload["numerator"], payload["denominator"])
+
+
 def load_surface(path) -> RationalQuadricSurface:
     """Read a surface JSON file, validating the schema."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    for key, count in (("numerator", 6), ("denominator", 5)):
-        vals = payload.get(key)
-        if (
-            not isinstance(vals, list)
-            or len(vals) != count
-            or not all(_json_number(v) and math.isfinite(v) for v in vals)
-        ):
-            raise SchemaError(f"{path}: '{key}' must be {count} finite numbers")
-    if payload.get("angle_unit") != "rad":
-        raise SchemaError(f"{path}: angle_unit must be 'rad'")
-    return RationalQuadricSurface(payload["numerator"], payload["denominator"])
+    return _surface_from_payload(_json_object(_read_text(path), path), path)
 
 
 @dataclass(frozen=True)

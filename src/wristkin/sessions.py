@@ -34,7 +34,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import OrientationError, SchemaError
-from .regression import DataPoints, RationalQuadricSurface, _json_number
+from .regression import (DataPoints, RationalQuadricSurface, _finite_numbers, _json_number,
+                         _json_object, _read_text)
 from .transforms import _check_rigid, _flagged, _gram_drift, invert
 from .wrist import HALF_PI, SubjectParams, _fk_arrays, _ik_arrays, sensor_frame_transform
 
@@ -164,29 +165,20 @@ class SyntheticConfig:
             raise ValueError("cycles, duration and sample rate must be positive")
 
 
-def _parse_meta(meta_file) -> tuple[SubjectParams, SessionProtocol | None, str]:
-    try:
-        payload = json.loads(Path(meta_file).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{meta_file}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{meta_file}: expected a JSON object")
+def _parse_meta(payload: dict, where) -> tuple[SubjectParams, SessionProtocol | None, str]:
+    """Subject, protocol and handedness of a decoded metadata JSON object."""
     subject_id = payload.get("subject_id")
     if not isinstance(subject_id, str):
-        raise SchemaError(f"{meta_file}: subject_id must be a string")
+        raise SchemaError(f"{where}: subject_id must be a string")
     a4 = payload.get("a4_mm")
     if not _json_number(a4) or not math.isfinite(a4) or a4 <= 0:
-        raise SchemaError(f"{meta_file}: a4_mm must be a positive number")
+        raise SchemaError(f"{where}: a4_mm must be a positive number")
     p_lorg = payload.get("p_lorg_mm")
-    if (
-        not isinstance(p_lorg, list)
-        or len(p_lorg) != 3
-        or not all(_json_number(v) and math.isfinite(v) for v in p_lorg)
-    ):
-        raise SchemaError(f"{meta_file}: p_lorg_mm must be 3 finite numbers")
+    if not _finite_numbers(p_lorg, 3):
+        raise SchemaError(f"{where}: p_lorg_mm must be 3 finite numbers")
     handedness = payload.get("handedness")
     if handedness not in ("left", "right"):
-        raise SchemaError(f"{meta_file}: handedness must be 'left' or 'right'")
+        raise SchemaError(f"{where}: handedness must be 'left' or 'right'")
     protocol = None
     if "protocol" in payload:
         proto = payload["protocol"]
@@ -199,28 +191,27 @@ def _parse_meta(meta_file) -> tuple[SubjectParams, SessionProtocol | None, str]:
             or proto["duration_s"] <= 0
         ):
             raise SchemaError(
-                f"{meta_file}: protocol must hold integer cycles >= 1 and finite duration_s > 0"
+                f"{where}: protocol must hold integer cycles >= 1 and finite duration_s > 0"
             )
         protocol = SessionProtocol(cycles=proto["cycles"], duration_s=float(proto["duration_s"]))
     subject = SubjectParams(a4=float(a4), p_lorg=np.array(p_lorg, dtype=float), subject_id=subject_id)
     return subject, protocol, handedness
 
 
-def _parse_data(data_file) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times (n,), rotations (n, 3, 3) and positions (n, 3) of a session
-    data CSV, checked and drift-repaired as :func:`load_session` describes."""
-    lines = Path(data_file).read_text().splitlines()
-    if not lines or lines[0] != SESSION_HEADER:
-        raise SchemaError(f"{data_file}: first line must be '{SESSION_HEADER}'")
-    rows = lines[1:]
+def _csv_numbers(rows: list[str], where, n_cols: int, first: int = 0) -> np.ndarray:
+    """Fields ``first`` to ``n_cols - 1`` of CSV data rows as an
+    (n, n_cols - first) float array. A row of another width or a field that
+    is no number is a SchemaError naming the first such row of ``where``."""
     if not rows:
-        raise SchemaError(f"{data_file}: no samples")
-    row = f"{data_file} row"
+        return np.empty((0, n_cols - first))
+    row = f"{where} row"
     width = np.char.count(rows, ",") + 1
-    if bad := _flagged(width != 13, row):
-        raise SchemaError(f"{bad[1]}expected 13 columns, got {width[bad[0]]}")
+    if bad := _flagged(width != n_cols, row):
+        raise SchemaError(f"{bad[1]}expected {n_cols} columns, got {width[bad[0]]}")
+    if first:
+        rows = [line.split(",", first)[first] for line in rows]
     try:
-        values = np.array(",".join(rows).split(","), dtype=float).reshape(-1, 13)
+        return np.array(",".join(rows).split(","), dtype=float).reshape(-1, n_cols - first)
     except ValueError:
         for i, line in enumerate(rows):  # error path only: name the row
             try:
@@ -228,6 +219,19 @@ def _parse_data(data_file) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             except ValueError as exc:
                 raise SchemaError(f"{row} {i}: non-numeric field ({exc})") from exc
         raise
+
+
+def _parse_data(lines: list[str], where) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times (n,), rotations (n, 3, 3) and positions (n, 3) of a session
+    data CSV's lines, checked and drift-repaired as :func:`load_session`
+    describes."""
+    if not lines or lines[0] != SESSION_HEADER:
+        raise SchemaError(f"{where}: first line must be '{SESSION_HEADER}'")
+    rows = lines[1:]
+    if not rows:
+        raise SchemaError(f"{where}: no samples")
+    values = _csv_numbers(rows, where, 13)
+    row = f"{where} row"
     if bad := _flagged(~np.isfinite(values).all(axis=1), row):
         raise SchemaError(f"{bad[1]}non-finite field")
     times = values[:, 0]
@@ -258,8 +262,9 @@ def load_session(data_file, meta_file) -> TrackingSession:
     OrientationError. Non-monotonic timestamps and malformed rows raise
     SchemaError.
     """
-    subject, protocol, handedness = _parse_meta(meta_file)
-    times, r, p = _parse_data(data_file)
+    meta = _json_object(_read_text(meta_file), meta_file)
+    subject, protocol, handedness = _parse_meta(meta, meta_file)
+    times, r, p = _parse_data(_read_text(data_file).splitlines(), data_file)
     return TrackingSession(
         subject=subject, times=times, r=r, p=p, protocol=protocol, handedness=handedness
     )

@@ -183,6 +183,25 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.count("OK") == 4
 
+    def test_accepts_every_cli_output(self, data_dir, tmp_path, capsys):
+        tree = tmp_path / "tree"
+        surface = str(tree / "fit" / "surface.json")
+        data = ["--data", str(data_dir)]
+        for argv in (["fk", "--theta3-deg", "7", "--theta4-deg", "-9", "--d2", "12.5",
+                      "--a4", "105"],
+                     ["ik", "--pose", str(tree / "fk" / "pose.json"), "--a4", "105"],
+                     ["fit", *data, "--seed", "7", "--generations", "60"],
+                     ["predict", "--surface", surface, *data],
+                     ["validate", "--surface", surface, *data],
+                     ["residuals", "--surface", surface, *data, "--lowess-max-points", "50"],
+                     ["stats", *data]):
+            assert run([*argv, "--out", str(tree / argv[0])]) == 0
+        capsys.readouterr()
+        paths = sorted(p for p in (*data_dir.iterdir(), *tree.rglob("*")) if p.is_file())
+        assert run(["check", *map(str, paths)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"OK {p} ({_output_kind(p.name)})" for p in paths]
+
     def test_rejects_bad_surface(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"numerator": [1, 2], "denominator": [], "angle_unit": "rad"}))
@@ -227,6 +246,31 @@ class TestCheck:
         assert run(["check", str(csv)]) == 3
 
 
+# kind label that check gives each file the CLI writes, by file name
+OUTPUT_KINDS = {
+    "pose.json": "pose",
+    "joints.json": "joint state",
+    "surface.json": "surface",
+    "fit_report.json": "fit report",
+    "predict_report.json": "fit report",
+    "validate_report.json": "validation report",
+    "stats.json": "stats",
+    "predictions.csv": "predictions",
+    "per_subject.csv": "per-subject validation",
+    "residuals.csv": "residual series",
+}
+
+
+def _output_kind(name: str) -> str:
+    if name.endswith("_manifest.json"):
+        return "manifest"
+    if name.endswith(".meta.json"):
+        return "session metadata"
+    if name.startswith("subject_") and name.endswith(".csv"):
+        return f"session ({name[:-4]}.meta.json)"
+    return OUTPUT_KINDS[name]
+
+
 # out-of-range count, size and rate arguments, one per flag
 OUT_OF_RANGE = [
     ["synth", "--subjects", "0"],
@@ -266,6 +310,19 @@ def _malformed_inputs(tmp_path, data_dir) -> dict:
                        ("reflected_pose", json.dumps({**good_pose, "a": [0, 0, -1]}))):
         (tmp_path / f"{name}.json").write_text(text)
         files[name] = str(tmp_path / f"{name}.json")
+    # a \xff byte, which no UTF-8 text holds, in a JSON file, an output CSV
+    # and the data file of an otherwise good session pair
+    binary = tmp_path / "binary"
+    binary.mkdir()
+    (binary / "subject_00.meta.json").write_bytes((data_dir / "subject_00.meta.json").read_bytes())
+    for name, file_name, text in (
+        ("binary_json", "b.json", b'{"subject_id": "\xff"}'),
+        ("binary_csv", "b.csv", b"index,residual,standardized_residual,lowess\n0,1,\xff,2\n"),
+        ("binary_session", "subject_00.csv", (data_dir / "subject_00.csv").read_bytes() + b"\xff"),
+    ):
+        (binary / file_name).write_bytes(text)
+        files[name] = str(binary / file_name)
+    files["binary_data"] = str(binary)
     return files
 
 
@@ -292,14 +349,22 @@ MALFORMED = [
     *(pytest.param([cmd, "--surface", "{pole_surface}", "--data", "{data}"], 4,
                    "denominator magnitude below", id=f"{cmd} pole-at-sample")
       for cmd in ("predict", "validate", "residuals")),
+    *(pytest.param(argv, 3, "{%s}: not UTF-8 text" % name, id=f"{argv[0]} {name.replace('_', '-')}")
+      for argv, name in ((["check", "{binary_json}"], "binary_json"),
+                         (["check", "{binary_csv}"], "binary_csv"),
+                         (["check", "{binary_session}"], "binary_session"),
+                         (["ik", "--pose", "{binary_json}", "--a4", "100"], "binary_json"),
+                         (["predict", "--surface", "{binary_json}", "--data", "{data}"],
+                          "binary_json"),
+                         (["stats", "--data", "{binary_data}"], "binary_session"))),
     pytest.param(["fit", "--data", "{data}", "--n-fit", "3"], 2,
                  "error: --n-fit must be below the 3 sessions in {data}, got 3",
                  id="fit n-fit-at-session-count"),
 ]
 
 
-# one valid JSON document per schema that reads numbers, by file name
-# ("pose" goes to ik on stdin, the rest to check)
+# one valid JSON document per schema, by file name ("pose" goes to ik on
+# stdin, the rest to check)
 VALID_JSON = {
     "surface.json": {"numerator": [20.0, 0, 0, 0, 0, 0], "denominator": [0.0] * 5,
                      "angle_unit": "rad"},
@@ -309,6 +374,16 @@ VALID_JSON = {
     "s.meta.json": {"subject_id": "s", "a4_mm": 100.0, "p_lorg_mm": [0.0, 0.0, 0.0],
                     "handedness": "right", "protocol": {"cycles": 2, "duration_s": 6.0}},
     "pose": {"n": [1, 0, 0], "o": [0, 1, 0], "a": [0, 0, 1], "p": [0, 0, 100]},
+    "pose.json": {"n": [1, 0, 0], "o": [0, 1, 0], "a": [0, 0, 1], "p": [0, 0, 100]},
+    "joints.json": {"angle_unit": "deg", "theta3": 7.0, "beta3": 97.0, "theta4": -9.0,
+                    "beta4": -9.0, "d2_mm": 12.5},
+    "manifest.json": {"command": "fk", "version": "0.1.0", "parameters": {"a4_mm": 105.0},
+                      "inputs": [], "outputs": ["fk/pose.json"]},
+    # stats writes a NaN spearman where rho is degenerate
+    "stats.json": {"pooled": {"n": 12, "slope_mm_per_rad": -20.0, "intercept_mm": 18.0,
+                              "spearman": -0.9},
+                   "per_subject": [{"subject_id": "s", "n": 12, "slope_mm_per_rad": -20.0,
+                                    "intercept_mm": 18.0, "spearman": math.nan}]},
 }
 
 # a JSON boolean where each schema reads a number: document, path to the
@@ -323,7 +398,51 @@ BOOLEAN_FIELDS = [
     ("s.meta.json", ("protocol", "cycles"), "protocol must hold integer cycles"),
     ("s.meta.json", ("protocol", "duration_s"), "protocol must hold integer cycles"),
     ("pose", ("a", 2), "stdin: 'a' must be 3 finite numbers"),
+    ("pose.json", ("p", 0), "'p' must be 3 finite numbers"),
+    ("joints.json", ("d2_mm",), "'d2_mm' must be a number"),
+    ("stats.json", ("pooled", "n"), "'pooled' must be an object of n"),
+    ("stats.json", ("per_subject", 0, "spearman"), "'per_subject' must be a list of such"),
 ]
+
+# one bad field of each JSON kind: document, path to the field, its bad
+# value, part of the error line
+CORRUPTED_FIELDS = [
+    ("surface.json", ("angle_unit",), "deg", "angle_unit must be 'rad'"),
+    ("fit_report.json", ("n",), 0, "'n' must be a positive integer"),
+    ("validate_report.json", ("pooled_sd_mm",), "x", "'pooled_sd_mm' must be a number"),
+    ("s.meta.json", ("handedness",), "ambi", "handedness must be 'left' or 'right'"),
+    ("manifest.json", ("outputs", 0), None, "'outputs' must be a list of strings"),
+    ("stats.json", ("per_subject", 0, "subject_id"), 7, "'per_subject' must be a list of such"),
+    ("pose.json", ("a", 2), -1, "(improper)"),
+    ("joints.json", ("angle_unit",), "grad", "'angle_unit' must be 'deg' or 'rad'"),
+]
+
+
+def _rejects_field(name, field, value, message, tmp_path, capsys, monkeypatch) -> None:
+    """VALID_JSON[name] passes its check; with ``field`` set to ``value`` it
+    exits 3 with one error line holding ``message``."""
+    payload = copy.deepcopy(VALID_JSON[name])
+    path = tmp_path / name
+    argv = ["ik", "--pose", "-", "--a4", "100"] if name == "pose" else ["check", str(path)]
+
+    def run_with(doc):
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        return run(argv)
+
+    assert run_with(payload) == 0
+    capsys.readouterr()
+    *parents, key = field
+    target = payload
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    assert run_with(payload) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
 
 
 class TestExitCodes:
@@ -332,28 +451,13 @@ class TestExitCodes:
                                   for name, field, _ in BOOLEAN_FIELDS])
     def test_boolean_is_not_a_number(self, name, field, message, tmp_path, capsys,
                                      monkeypatch):
-        payload = copy.deepcopy(VALID_JSON[name])
-        path = tmp_path / name
-        argv = ["ik", "--pose", "-", "--a4", "100"] if name == "pose" else ["check", str(path)]
+        _rejects_field(name, field, True, message, tmp_path, capsys, monkeypatch)
 
-        def run_with(doc):
-            path.write_text(json.dumps(doc))
-            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-            return run(argv)
-
-        assert run_with(payload) == 0
-        capsys.readouterr()
-        *parents, key = field
-        target = payload
-        for step in parents:
-            target = target[step]
-        target[key] = True
-        assert run_with(payload) == 3
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert message in lines[0]
+    @pytest.mark.parametrize("name, field, value, message", CORRUPTED_FIELDS,
+                             ids=[name for name, *_ in CORRUPTED_FIELDS])
+    def test_corrupted_document(self, name, field, value, message, tmp_path, capsys,
+                                monkeypatch):
+        _rejects_field(name, field, value, message, tmp_path, capsys, monkeypatch)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_duration_is_a_schema_error(self, literal, data_dir, capsys):
