@@ -6,8 +6,9 @@ workflow on real tracking data: synthesize (or load) sessions, derive
 joint series through the inverse kinematics, fit, then judge the fit on
 subjects the optimizer never saw.
 
-Runs a reduced generation budget so the whole script finishes in about
-ten seconds; drop the GAConfig override for full-quality fits.
+The fit uses the default GAConfig: the genetic algorithm searches, a
+Levenberg-Marquardt polish finishes, and the search stops once the
+polished best repeats, so the whole script takes a few seconds.
 """
 
 import time
@@ -45,7 +46,7 @@ print(f"fit set: {len(fit_sessions)} subjects, {len(fit_points)} samples")
 
 print("\nfitting the surface with the genetic algorithm...")
 start = time.perf_counter()
-surface, train_report = fit_surface(fit_points, GAConfig(seed=11, generations=6000))
+surface, train_report = fit_surface(fit_points, GAConfig(seed=11))
 print(f"done in {time.perf_counter() - start:.1f}s")
 print(f"training fit: RMSE = {train_report.rmse:.3f} mm, R^2 = {train_report.r_squared:.3f}")
 print(f"fitted numerator:   {np.round(surface.numerator, 3)}")

@@ -17,12 +17,21 @@ are bit-reproducible and any generation can be replayed from its index.
 :func:`fit_surface` searches a numerically preconditioned version of the
 problem: inputs are standardized, observations are normalized, and the
 chromosome genes parameterize the surface in a data-orthonormalized
-polynomial basis (QR of the design matrix). The best chromosome is mapped
-back to plain (beta3, beta4) coefficients algebraically, so the returned
-surface is exactly the function the winning chromosome encodes. One engine
-runs the search: ``_Problem.fitness_many`` scores a (population_size, 11)
-gene matrix and ``_step_arrays`` advances it one generation; the public
-:func:`fitness` is one row of that kernel.
+polynomial basis (QR of the design matrix). One engine runs the search:
+``_Problem.fitness_many`` scores a (population_size, 11) gene matrix and
+``_step_arrays`` advances it one generation; the public :func:`fitness`
+is one row of that kernel.
+
+The GA is the global search; a Levenberg-Marquardt polish (:func:`_polish`)
+finishes each fit in the same gene basis. It runs first from the
+linearized least-squares solution, then from the GA's best every
+POLISH_EVERY generations and at the generation cap, and the GA stops as
+soon as a polish no longer lowers the best polished SSE. Every accepted
+polish iterate keeps the denominator's exact margin over the data box at
+least PENALTY_DENOMINATOR_TOL. The returned surface is the lowest-SSE
+polished result whose decoded surface is pole-free on the data's box (the
+GA's best when none is), mapped back to plain (beta3, beta4) coefficients
+algebraically, so it is exactly the function its genes encode.
 """
 
 from __future__ import annotations
@@ -54,10 +63,16 @@ INIT_DENOMINATOR_WIDTH = 0.1
 # initialization width 2 * INIT_WIDTH across the generation budget
 MUTATION_SIGMA_FRAC = 0.05
 MUTATION_SIGMA_FINAL_FRAC = 1e-6
-# the run stops once the best penalized fitness has improved by less than
-# STALL_TOLERANCE (mm^2) for STALL_GENERATIONS consecutive generations
-STALL_GENERATIONS = 500
-STALL_TOLERANCE = 1e-9
+# every POLISH_EVERY generations, and at the generation cap, the GA's best
+# is polished; the GA stops once a polish fails to lower the best polished
+# SSE by more than STOP_TOLERANCE relative
+POLISH_EVERY = 250
+STOP_TOLERANCE = 1e-9
+# Levenberg-Marquardt polish: initial damping, cap on trial steps, and the
+# relative SSE decrease at or below which it has converged
+POLISH_LAMBDA = 1e-3
+POLISH_TRIALS = 100
+POLISH_TOLERANCE = 1e-15
 # fit_surface rejects an input column whose spread (max - min) is at most
 # this fraction of its largest magnitude: nearly constant, it cannot be fitted
 SPREAD_TOL = 1e-8
@@ -68,7 +83,9 @@ class GAConfig:
     """Hyperparameters. Defaults: population 20, crossover 0.85, mutation
     0.005 per gene, up to 20000 generations, genes clipped to [-5000, 5000].
 
-    Initialization widths, the mutation-sigma schedule, the stall stop and
+    ``generations`` is a cap: the run stops earlier once a polish of the
+    GA's best no longer lowers the best polished SSE. Initialization
+    widths, the mutation-sigma schedule, the polish and its stop rule, and
     the pole-penalty weight are the module constants.
     """
 
@@ -125,6 +142,7 @@ class _Problem:
         self.box = box
         self.z = np.asarray(z, dtype=float)
         self.w = np.asarray(w, dtype=float)
+        self.sqrt_w = np.sqrt(self.w)
 
     @classmethod
     def from_data(cls, data: DataPoints) -> "_Problem":
@@ -150,13 +168,64 @@ class _Problem:
             np.square(num, out=num)
             sse = num @ self.w
         sse[~np.isfinite(sse)] = np.inf
-        coeffs = np.hstack([np.ones((genes.shape[0], 1)), g_den @ self.den_map.T])
-        lo, hi = quadric_range(coeffs, *self.box)
-        # least |denominator| over the box; 0 when it changes sign there
-        margin = np.maximum(np.maximum(lo, -hi), 0.0)
+        margin = self.margin(g_den)
         penalty = np.where(margin < PENALTY_DENOMINATOR_TOL,
                            POLE_PENALTY_WEIGHT * (2.0 - margin / PENALTY_DENOMINATOR_TOL), 0.0)
         return sse + penalty
+
+    def margin(self, g_den: np.ndarray) -> np.ndarray:
+        """Least |denominator| over the box for each row of an (m, 5)
+        matrix of denominator genes; 0 where the denominator changes sign
+        there."""
+        coeffs = np.hstack([np.ones((g_den.shape[0], 1)), g_den @ self.den_map.T])
+        lo, hi = quadric_range(coeffs, *self.box)
+        return np.maximum(np.maximum(lo, -hi), 0.0)
+
+    # The polish contracts over the n points with np.einsum, which sums in
+    # one fixed order and never through BLAS, so its result does not depend
+    # on the BLAS thread count.
+
+    def residuals(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weighted residuals sqrt(w) * (z - num / den) of one gene vector,
+        with num and den."""
+        num = np.einsum("kn,k->n", self.num_basis_t, genes[0::2])
+        den = np.einsum("kn,k->n", self.den_basis_t, genes[1::2])
+        den += 1.0
+        return self.sqrt_w * (self.z - num / den), num, den
+
+    def certified_sse(self, genes: np.ndarray) -> float:
+        """SSE of one gene vector; inf unless it is finite and its
+        denominator margin over the box is at least PENALTY_DENOMINATOR_TOL."""
+        # a near-singular polish step can make genes huge enough to overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (np.isfinite(genes).all()
+                    and self.margin(genes[None, 1::2])[0] >= PENALTY_DENOMINATOR_TOL):
+                return math.inf
+            r, _, _ = self.residuals(genes)
+            return float(np.einsum("n,n->", r, r))
+
+    def normal_equations(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J^T J, J^T r) of the residuals at one gene vector, J being the
+        analytic Jacobian in gene order."""
+        r, num, den = self.residuals(genes)
+        jac_t = np.empty((11, r.size))
+        scale = self.sqrt_w / den
+        np.multiply(self.num_basis_t, -scale, out=jac_t[0::2])
+        np.multiply(self.den_basis_t, scale * (num / den), out=jac_t[1::2])
+        return np.einsum("in,jn->ij", jac_t, jac_t), np.einsum("in,n->i", jac_t, r)
+
+    def linearized_start(self) -> np.ndarray | None:
+        """Genes solving z * (1 + den_basis @ g_den) - num_basis @ g_num = 0
+        in weighted least squares (Loeb 1957; Sanathanan & Koerner 1963):
+        one 11-column solve of the normal equations. None when singular."""
+        a_t = np.empty((11, self.z.size))
+        np.multiply(self.num_basis_t, self.sqrt_w, out=a_t[0::2])
+        np.multiply(self.den_basis_t, -self.sqrt_w * self.z, out=a_t[1::2])
+        try:
+            return np.linalg.solve(np.einsum("in,jn->ij", a_t, a_t),
+                                   np.einsum("in,n->i", a_t, self.sqrt_w * self.z))
+        except np.linalg.LinAlgError:
+            return None
 
 
 def _box(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -263,6 +332,40 @@ def _initial_genes(config: GAConfig) -> np.ndarray:
     return genes
 
 
+def _polish(problem: _Problem, genes: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Levenberg-Marquardt (Moré 1978) from one gene vector; (genes, SSE),
+    or None when the start is not certified (:meth:`_Problem.certified_sse`).
+
+    Each trial step solves (J^T J + lam * diag(J^T J)) step = -J^T r; lam
+    is divided by 10 after an accepted step and multiplied by 10 after a
+    rejected one. A step is rejected unless it is certified and lowers the
+    SSE, so every accepted iterate is certified; a singular damped system
+    is a rejected step. Stops once an accepted step lowers the SSE by at
+    most POLISH_TOLERANCE relative, or after POLISH_TRIALS trial steps.
+    """
+    sse = problem.certified_sse(genes)
+    if sse == math.inf:
+        return None
+    lam = POLISH_LAMBDA
+    jtj = None
+    for _ in range(POLISH_TRIALS):
+        if jtj is None:
+            jtj, jtr = problem.normal_equations(genes)
+        try:
+            trial = genes + np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jtr)
+            trial_sse = problem.certified_sse(trial)
+        except np.linalg.LinAlgError:
+            trial_sse = math.inf
+        if not trial_sse < sse:
+            lam *= 10.0
+            continue
+        converged = sse - trial_sse <= POLISH_TOLERANCE * sse
+        genes, sse, lam, jtj = trial, trial_sse, lam / 10.0, None
+        if converged:
+            break
+    return genes, sse
+
+
 class _Preconditioner:
     """Affine input/output standardization plus QR orthonormalization.
 
@@ -345,14 +448,18 @@ def _substitute_affine(c: np.ndarray, ax: float, bx: float, ay: float, by: float
 def fit_surface(
     data: DataPoints, config: GAConfig = GAConfig()
 ) -> tuple[RationalQuadricSurface, FitReport]:
-    """Fit the eleven coefficients to data by minimizing penalized SSE.
+    """Fit the eleven coefficients to data by minimizing SSE with the
+    denominator kept away from zero over the data's bounding box.
 
     Requires at least 20 points, and x, y and z columns whose spread
-    exceeds SPREAD_TOL of their largest magnitude. Runs up to
-    config.generations generations of the preconditioned GA with the
-    stall-based early stop, then returns the best surface (in plain
-    coefficients, verified pole-free on the data's bounding box) and its
-    FitReport on the same data.
+    exceeds SPREAD_TOL of their largest magnitude. Polishes the linearized
+    start, then runs the preconditioned GA, polishing its best every
+    POLISH_EVERY generations and at the config.generations cap, and stops
+    once such a polish fails to lower the best polished SSE by more than
+    STOP_TOLERANCE relative. Returns the lowest-SSE polished surface that
+    is pole-free on the data's bounding box, else the GA's best if that
+    is, in plain coefficients, with its FitReport on the same data.
+    Raises DegenerateDataError when no candidate is pole-free.
     """
     if len(data) < 20:
         raise ValueError(f"need at least 20 data points, got {len(data)}")
@@ -380,23 +487,29 @@ def fit_surface(
     order = np.argsort(fitnesses, kind="stable")
     genes, fitnesses = genes[order], fitnesses[order]
 
-    # the GA minimizes normalized-z SSE; keep the documented mm^2 stall
-    # tolerance by rescaling it
-    stall_tol = STALL_TOLERANCE / (pre.sz * pre.sz)
-    best = float(fitnesses[0])
-    stall = 0
+    polished = []  # (genes, SSE) of each certified polish, in the order run
+
+    def polish(start) -> float:
+        result = None if start is None else _polish(problem, start)
+        if result is None:
+            return math.inf
+        polished.append(result)
+        return result[1]
+
+    best = polish(problem.linearized_start())
     for g in range(config.generations):
         genes, fitnesses = _step_arrays(genes, fitnesses, problem, config, g)
-        new_best = float(fitnesses[0])
-        if best - new_best < stall_tol:
-            stall += 1
-        else:
-            stall = 0
-        best = new_best
-        if stall >= STALL_GENERATIONS:
+        if (g + 1) % POLISH_EVERY and g + 1 < config.generations:
+            continue
+        sse = polish(genes[0])
+        if math.isfinite(best) and not best - sse > STOP_TOLERANCE * best:
             break
+        best = sse
 
-    surface = RationalQuadricSurface.from_coefficients(pre.decode(genes[0]))
-    if not surface.is_pole_free(*_box(x, y)):
-        raise DegenerateDataError("fitted surface has a near-pole inside the data domain")
-    return surface, fit_report(surface, data)
+    box = _box(x, y)
+    ranked = [result[0] for result in sorted(polished, key=lambda result: result[1])]
+    for candidate in [*ranked, genes[0]]:
+        surface = RationalQuadricSurface.from_coefficients(pre.decode(candidate))
+        if surface.is_pole_free(*box):
+            return surface, fit_report(surface, data)
+    raise DegenerateDataError("fitted surface has a near-pole inside the data domain")

@@ -134,16 +134,21 @@ class RationalQuadricSurface:
         """Predicted z at (x, y); broadcasts over arrays.
 
         Raises PoleError if any evaluated denominator magnitude falls
-        below 1e-9.
+        below 1e-9, or any prediction is not finite (huge coefficients
+        overflow), naming the first such point.
         """
-        den = self.denominator_values(x, y)
-        bad = np.abs(den) < POLE_EVAL_TOL
-        if np.any(bad):
-            where = np.argwhere(np.atleast_1d(bad)).ravel()[0]
-            raise PoleError(
-                f"denominator magnitude below {POLE_EVAL_TOL} at point index {where}"
-            )
-        out = self.numerator_values(x, y) / den
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = self.denominator_values(x, y)
+            bad = np.abs(den) < POLE_EVAL_TOL
+            if np.any(bad):
+                where = np.argwhere(np.atleast_1d(bad)).ravel()[0]
+                raise PoleError(
+                    f"denominator magnitude below {POLE_EVAL_TOL} at point index {where}"
+                )
+            out = self.numerator_values(x, y) / den
+        if not np.isfinite(out).all():
+            where = np.argwhere(~np.isfinite(np.atleast_1d(out))).ravel()[0]
+            raise PoleError(f"non-finite prediction at point index {where}")
         if np.ndim(out) == 0:
             return float(out)
         return out
@@ -204,7 +209,9 @@ def _json_object(text: str, where) -> dict:
     """Decode a JSON document that must be an object; ``where`` names it in errors."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers syntax errors and integers past Python's digit
+        # limit; RecursionError, nesting too deep for the decoder
         raise SchemaError(f"{where}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise SchemaError(f"{where}: expected a JSON object")

@@ -304,8 +304,15 @@ def _malformed_inputs(tmp_path, data_dir) -> dict:
         load_session(data_dir / "subject_00.csv", data_dir / "subject_00.meta.json"))
     save_surface(RationalQuadricSurface([1.0, 0, 0, 0, 0, 0], [-1.0 / first.beta3[0], 0, 0, 0, 0]),
                  files["pole_surface"])
+    # finite coefficients whose predictions overflow to inf or nan
+    save_surface(RationalQuadricSurface([1e308] * 6, [1e308] * 5), tmp_path / "huge.json")
+    files["huge_surface"] = str(tmp_path / "huge.json")
     good_pose = {"n": [1, 0, 0], "o": [0, 1, 0], "a": [0, 0, 1], "p": [0, 0, 100]}
     for name, text in (("not_json_pose", "{"),
+                       # nesting past the decoder's recursion limit, and an
+                       # integer past Python's digit limit for str -> int
+                       ("deep_json", "[" * 200_000 + "]" * 200_000),
+                       ("long_int_json", '{"numerator": [%s]}' % ("9" * 5000)),
                        ("short_pose", json.dumps({**good_pose, "p": [0, 0]})),
                        ("reflected_pose", json.dumps({**good_pose, "a": [0, 0, -1]}))):
         (tmp_path / f"{name}.json").write_text(text)
@@ -349,6 +356,12 @@ MALFORMED = [
     *(pytest.param([cmd, "--surface", "{pole_surface}", "--data", "{data}"], 4,
                    "denominator magnitude below", id=f"{cmd} pole-at-sample")
       for cmd in ("predict", "validate", "residuals")),
+    *(pytest.param([cmd, "--surface", "{huge_surface}", "--data", "{data}"], 4,
+                   "non-finite prediction at point index 0", id=f"{cmd} overflowing-surface")
+      for cmd in ("predict", "validate", "residuals")),
+    *(pytest.param(["check", "{%s}" % name], 3, "{%s}: not valid JSON" % name,
+                   id=f"check {name.replace('_', '-')}")
+      for name in ("deep_json", "long_int_json")),
     *(pytest.param(argv, 3, "{%s}: not UTF-8 text" % name, id=f"{argv[0]} {name.replace('_', '-')}")
       for argv, name in ((["check", "{binary_json}"], "binary_json"),
                          (["check", "{binary_csv}"], "binary_csv"),

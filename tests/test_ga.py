@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +14,23 @@ from wristkin import (
     DegenerateDataError,
     GAConfig,
     RationalQuadricSurface,
+    SyntheticConfig,
+    derive_joint_series,
     fit_surface,
     fitness,
+    subject_split,
+    synthesize_sessions,
+    to_data_points,
 )
+import wristkin.ga as ga
 from wristkin.ga import (
     INIT_WIDTH,
     MUTATION_SIGMA_FINAL_FRAC,
     MUTATION_SIGMA_FRAC,
     PENALTY_DENOMINATOR_TOL,
     POLE_PENALTY_WEIGHT,
+    POLISH_EVERY,
+    _box,
     _equal_rows,
     _initial_genes,
     _offspring,
@@ -26,10 +38,23 @@ from wristkin.ga import (
     _Problem,
     _step_arrays,
 )
-from wristkin.regression import quadric_design
+from wristkin.regression import fit_report, quadric_design
 
 PROTOCOL_X = (math.pi / 2 - 0.0873, math.pi / 2 + 0.0873)
 PROTOCOL_Y = (-0.1745, 0.5236)
+ROOT = Path(__file__).resolve().parents[1]
+
+TRUTH = RationalQuadricSurface([21.0, 2.0, -25.0, 0.0, 12.0, 1.5], [0.0, 0.08, 0.0, 0.05, 0.0])
+
+
+def criterion_6_points(seed: int = 2026) -> DataPoints:
+    """The acceptance suite's criterion-6 fit set: 9 of 25 synthetic
+    subjects at 1.35 mm noise, 18 009 points; ``seed`` seeds the cohort
+    and its split."""
+    sessions = synthesize_sessions(SyntheticConfig(
+        ground_truth=TRUTH, n_subjects=25, seed=seed, noise_sigma_mm=1.35))
+    fit_sessions, _ = subject_split(sessions, 9, seed=seed)
+    return to_data_points([derive_joint_series(s) for s in fit_sessions])
 
 
 def planar_points(rng, n=300, noise=0.0):
@@ -297,6 +322,168 @@ class TestFitSurface:
         surface, report = fit_surface(DataPoints(x, y, z), GAConfig(seed=0, generations=300))
         assert np.isfinite(surface.coefficients).all()
         assert report.rmse < 1e-5
+
+
+def record_polishes(patch, results: list) -> None:
+    """Patch ga._polish so that each call appends (problem, result) to results."""
+    polish = ga._polish
+
+    def recording_polish(problem, genes):
+        result = polish(problem, genes)
+        results.append((problem, result))
+        return result
+
+    patch.setattr(ga, "_polish", recording_polish)
+
+
+@pytest.fixture(scope="module")
+def criterion_6_fit():
+    """criterion_6_points fitted with the default GAConfig(seed=11), with
+    every polish recorded and the generations run counted."""
+    data = criterion_6_points()
+    run = {"data": data, "polishes": [], "generations": 0}
+    step = ga._step_arrays
+
+    def counting_step(*args):
+        run["generations"] += 1
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        record_polishes(patch, run["polishes"])
+        patch.setattr(ga, "_step_arrays", counting_step)
+        run["surface"], run["report"] = fit_surface(data, GAConfig(seed=11))
+    return run
+
+
+def plain_scaled_gradient(surface: RationalQuadricSurface, data: DataPoints) -> np.ndarray:
+    """|J_i . r| / (|J_i| |r|) for each plain coefficient a1..a11, J being
+    the Jacobian of the weighted residuals sqrt(w) * (z - surface)."""
+    num = surface.numerator_values(data.x, data.y)
+    den = surface.denominator_values(data.x, data.y)
+    design = quadric_design(data.x, data.y)
+    sqrt_w = np.sqrt(data.w)
+    r = sqrt_w * (data.z - num / den)
+    jac = np.empty((len(data), 11))
+    jac[:, 0::2] = -(sqrt_w / den)[:, None] * design
+    jac[:, 1::2] = (sqrt_w * num / den**2)[:, None] * design[:, 1:]
+    return np.abs(jac.T @ r) / (np.linalg.norm(jac, axis=0) * np.linalg.norm(r))
+
+
+class TestPolish:
+    def test_noiseless_rational_truth_recovered(self, rng):
+        x = rng.uniform(*PROTOCOL_X, 2000)
+        y = rng.uniform(*PROTOCOL_Y, 2000)
+        data = DataPoints(x, y, np.asarray(TRUTH.evaluate(x, y)))
+        surface, _ = fit_surface(data, GAConfig(seed=3, generations=1000))
+        gx, gy = (g.ravel() for g in np.meshgrid(np.linspace(*PROTOCOL_X, 40),
+                                                 np.linspace(*PROTOCOL_Y, 40)))
+        for px, py in ((x, y), (gx, gy)):
+            want = np.asarray(TRUTH.evaluate(px, py))
+            assert np.abs(surface.evaluate(px, py) - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_sse_at_most_polynomial_and_each_polish(self, criterion_6_fit):
+        data, report = criterion_6_fit["data"], criterion_6_fit["report"]
+        # the best quadric polynomial, in closed form: denominator 0 is feasible
+        sqrt_w = np.sqrt(data.w)
+        design = quadric_design(data.x, data.y)
+        numerator = np.linalg.lstsq(design * sqrt_w[:, None], data.z * sqrt_w, rcond=None)[0]
+        polynomial = RationalQuadricSurface(numerator, [0.0] * 5)
+        assert report.sse <= fit_report(polynomial, data).sse
+        # the linearized start and at least one GA best, each polished to a
+        # certified result that the returned surface does not exceed
+        polishes = criterion_6_fit["polishes"]
+        assert len(polishes) >= 2
+        pre = _Preconditioner(data.x, data.y, data.z)
+        for problem, (genes, _) in polishes:
+            assert problem.margin(genes[None, 1::2])[0] >= PENALTY_DENOMINATOR_TOL
+            polished = RationalQuadricSurface.from_coefficients(pre.decode(genes))
+            assert report.sse <= fit_report(polished, data).sse * (1 + 1e-12)
+
+    def test_scaled_gradient_vanishes_at_result(self, criterion_6_fit):
+        data, surface = criterion_6_fit["data"], criterion_6_fit["surface"]
+        pre = _Preconditioner(data.x, data.y, data.z)
+        (problem, kept), = {genes.tobytes(): (problem, genes)
+                            for problem, (genes, _) in criterion_6_fit["polishes"]
+                            if np.array_equal(pre.decode(genes), surface.coefficients)}.values()
+        # the margin constraint is inactive at this optimum ...
+        assert problem.margin(kept[None, 1::2])[0] > 10 * PENALTY_DENOMINATOR_TOL
+        # ... so it is stationary
+        assert plain_scaled_gradient(surface, data).max() < 1e-6
+
+    def test_every_polish_is_certified_where_the_optimum_nears_a_pole(self, monkeypatch):
+        # on cohort seed 7 the unconstrained polish from either start walks
+        # into a denominator sign change over the data box
+        results = []
+        record_polishes(monkeypatch, results)
+        data = criterion_6_points(seed=7)
+        surface, _ = fit_surface(data, GAConfig(seed=7))
+        assert len(results) >= 2
+        for problem, (genes, _) in results:
+            assert problem.margin(genes[None, 1::2])[0] >= PENALTY_DENOMINATOR_TOL
+        assert surface.is_pole_free(*_box(data.x, data.y))
+
+    def test_stop_fires_before_cap(self, criterion_6_fit):
+        generations = criterion_6_fit["generations"]
+        assert 0 < generations < GAConfig().generations
+        assert generations % POLISH_EVERY == 0
+        # the linearized start, then one polish every POLISH_EVERY generations
+        assert len(criterion_6_fit["polishes"]) == 1 + generations // POLISH_EVERY
+
+    def test_fit_independent_of_blas_threads(self):
+        # prints the point count, each polish's SSE and the coefficients
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_ga import criterion_6_points\n"
+            "import wristkin.ga as ga\n"
+            "polish = ga._polish\n"
+            "def printing_polish(problem, genes):\n"
+            "    result = polish(problem, genes)\n"
+            "    print(result[1].hex())\n"
+            "    return result\n"
+            "ga._polish = printing_polish\n"
+            "data = criterion_6_points()\n"
+            "print(len(data))\n"
+            "surface, _ = ga.fit_surface(data, ga.GAConfig(seed=11))\n"
+            "print(surface.coefficients.tobytes().hex())\n"
+        )
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(ROOT / "tests")],
+                env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads,
+                         OMP_NUM_THREADS=threads),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for threads in ("1", "2")
+        ]
+        outputs = []
+        for done in runs:
+            out, err = done.communicate(timeout=120)
+            assert done.returncode == 0, err
+            outputs.append(out.split())
+        # enough points that OpenBLAS splits its long reductions across threads
+        assert int(outputs[0][0]) >= 18_000
+        assert len(outputs[0]) >= 4  # the count, two polishes, the coefficients
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("seed, noise", [(0, 0.0), (1, 0.5), (2, 0.5)])
+    def test_rank_deficient_cohort(self, seed, noise):
+        # every sample on one ellipse: the quadric design has rank 5
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 2.0 * math.pi, 400)
+        x = math.pi / 2 + 0.08 * np.cos(t)
+        y = 0.17 + 0.3 * np.sin(t)
+        z = np.asarray(TRUTH.evaluate(x, y)) + rng.normal(0.0, noise, 400)
+        pre = _Preconditioner(x, y, z)
+        assert np.array_equal(pre.Mn, np.eye(6))  # the rank-deficient branch
+        try:
+            surface, report = fit_surface(DataPoints(x, y, z),
+                                          GAConfig(seed=seed, generations=500))
+        except DegenerateDataError:
+            return
+        assert surface.is_pole_free(*_box(x, y))
+        assert report.rmse < 2.0 * noise + 1e-6
 
 
 class TestPreconditioner:
