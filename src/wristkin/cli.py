@@ -477,7 +477,8 @@ def _session_csv(lines: list[str], path: Path) -> str:
         _parse_data(lines, path)
         return "no metadata"
     subject, protocol, handedness = _parse_meta(_json_object(_read_text(meta), meta), meta)
-    TrackingSession(subject, *_parse_data(lines, path), protocol, handedness)
+    TrackingSession(subject, *_parse_data(lines, path), protocol, handedness,
+                    _rigid_checked=True)
     return meta.name
 
 

@@ -26,7 +26,8 @@ The GA is the global search; a Levenberg-Marquardt polish (:func:`_polish`)
 finishes each fit in the same gene basis. It runs first from the
 linearized least-squares solution, then from the GA's best every
 POLISH_EVERY generations and at the generation cap, and the GA stops as
-soon as a polish no longer lowers the best polished SSE. Every accepted
+soon as a polish no longer lowers the best polished SSE, or the best is an
+exact fit at the rounding floor. Every accepted
 polish iterate keeps the denominator's exact margin over the data box at
 least PENALTY_DENOMINATOR_TOL. The returned surface is the lowest-SSE
 polished result whose decoded surface is pole-free on the data's box (the
@@ -68,6 +69,10 @@ MUTATION_SIGMA_FINAL_FRAC = 1e-6
 # SSE by more than STOP_TOLERANCE relative
 POLISH_EVERY = 250
 STOP_TOLERANCE = 1e-9
+# a best polished SSE at or below this fraction of the normalized
+# observations' weighted sum of squares is an exact fit at the rounding
+# floor, where further polishes only trade last digits: the GA stops
+EXACT_FIT_TOLERANCE = 1e-24
 # Levenberg-Marquardt polish: initial damping, cap on trial steps, and the
 # relative SSE decrease at or below which it has converged
 POLISH_LAMBDA = 1e-3
@@ -456,7 +461,9 @@ def fit_surface(
     start, then runs the preconditioned GA, polishing its best every
     POLISH_EVERY generations and at the config.generations cap, and stops
     once such a polish fails to lower the best polished SSE by more than
-    STOP_TOLERANCE relative. Returns the lowest-SSE polished surface that
+    STOP_TOLERANCE relative, or the best polished SSE is at most
+    EXACT_FIT_TOLERANCE of the normalized observations' weighted sum of
+    squares. Returns the lowest-SSE polished surface that
     is pole-free on the data's bounding box, else the GA's best if that
     is, in plain coefficients, with its FitReport on the same data.
     Raises DegenerateDataError when no candidate is pole-free.
@@ -496,13 +503,15 @@ def fit_surface(
         polished.append(result)
         return result[1]
 
+    exact = EXACT_FIT_TOLERANCE * float(np.einsum("n,n,n->", w, pre.zn, pre.zn))
     best = polish(problem.linearized_start())
     for g in range(config.generations):
         genes, fitnesses = _step_arrays(genes, fitnesses, problem, config, g)
         if (g + 1) % POLISH_EVERY and g + 1 < config.generations:
             continue
         sse = polish(genes[0])
-        if math.isfinite(best) and not best - sse > STOP_TOLERANCE * best:
+        if min(best, sse) <= exact or (math.isfinite(best)
+                                        and not best - sse > STOP_TOLERANCE * best):
             break
         best = sse
 

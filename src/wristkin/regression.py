@@ -35,6 +35,9 @@ POLE_EVAL_TOL = 1e-9
 POLE_FREE_TOL = 1e-6
 
 NUM_COEFFS = 11
+# lowess works through its (n, n) distance matrix in blocks of rows of at
+# most this many elements
+LOWESS_BLOCK = 1 << 16
 
 
 def quadric_design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -359,8 +362,16 @@ def lowess(x, y, frac: float = 2.0 / 3.0, iterations: int = 3) -> np.ndarray:
     tricube((|x - x_i| / h_i) clipped to [0, 1]). After the plain pass,
     ``iterations`` rounds of bisquare robustness reweighting are applied
     using delta = (1 - clip(e / (6 * median|e|), -1, 1)^2)^2; a round with
-    median|e| == 0 stops early (the fit is already exact). Singular local
-    systems fall back to the weighted mean.
+    median|e| == 0 stops early (the fit is already exact). A window whose
+    weights are all zero keeps y_i; singular local systems fall back to the
+    weighted mean.
+
+    The points are processed in blocks of rows of the (n, n) distance
+    matrix, at most LOWESS_BLOCK elements each, so memory is
+    O(n + LOWESS_BLOCK) however long the series. Each pass takes a block's
+    windowed sums as one matrix product of its tricube weights with the
+    robustness-weighted moment columns (1, x, x^2, y, x*y), x centred on
+    its mean, and shifts them to each x_i.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -375,34 +386,63 @@ def lowess(x, y, frac: float = 2.0 / 3.0, iterations: int = 3) -> np.ndarray:
         raise ValueError("iterations must be >= 0")
 
     r = max(2, min(n, math.ceil(frac * n)))
-    # r-th smallest |x - x_i| per point, computed row-wise to keep memory O(n)
+    rows = max(1, LOWESS_BLOCK // n)
+    blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+    # two (rows, n) work arrays, reused by every block of every pass
+    work = np.empty((rows, n))
+    cube = np.empty((rows, n))
+
+    def distances(b: slice) -> np.ndarray:
+        """|x - x_i| for the rows i of block b, in ``work``."""
+        d = work[: b.stop - b.start]
+        np.subtract.outer(x[b], x, out=d)
+        return np.abs(d, out=d)
+
+    def tricube(b: slice) -> np.ndarray:
+        """(1 - min(|x - x_i| / h_i, 1)^3)^3 for the rows i of block b, in
+        ``work``."""
+        u = distances(b)
+        hb = h[b, None]
+        # min(|x - x_i|, h_i) / h_i clips without overflowing at h_i = tiny
+        np.minimum(u, hb, out=u)
+        u /= hb
+        t = cube[: u.shape[0]]
+        np.multiply(u, u, out=t)
+        t *= u
+        np.subtract(1.0, t, out=t)
+        np.multiply(t, t, out=u)
+        u *= t
+        return u
+
+    # h_i is the r-th smallest |x - x_i|: one partition of each block's rows
     h = np.empty(n)
-    for i in range(n):
-        h[i] = np.partition(np.abs(x - x[i]), r - 1)[r - 1]
+    for b in blocks:
+        d = distances(b)
+        d.partition(r - 1, axis=1)
+        h[b] = d[:, r - 1]
     h = np.where(h > 0.0, h, np.finfo(float).tiny)
 
-    yest = np.zeros(n)
+    xm = x - x.mean()
+    moments = np.stack([np.ones(n), xm, xm * xm, y, xm * y], axis=1)
+    yest = np.empty(n)
     delta = np.ones(n)
     for _ in range(iterations + 1):
-        for i in range(n):
-            u = np.clip(np.abs(x - x[i]) / h[i], 0.0, 1.0)
-            weights = delta * (1.0 - u**3) ** 3
-            sw = weights.sum()
-            if sw <= 0.0:
-                yest[i] = y[i]
-                continue
-            # weighted linear fit centered at x[i] for conditioning
-            xc = x - x[i]
-            swx = float(weights @ xc)
-            swxx = float(weights @ (xc * xc))
-            swy = float(weights @ y)
-            swxy = float(weights @ (xc * y))
-            det = sw * swxx - swx * swx
-            if det <= 1e-12 * max(sw * swxx, 1e-300):
-                yest[i] = swy / sw
-            else:
-                # intercept at xc = 0 is the estimate at x[i]
-                yest[i] = (swxx * swy - swx * swxy) / det
+        weighted = moments * delta[:, None]
+        for b in blocks:
+            s0, s1, s2, swy, sxy = (tricube(b) @ weighted).T
+            # sums over (x - x_i) from the sums over the centred x
+            c = xm[b]
+            swx = s1 - c * s0
+            swxx = s2 - 2.0 * c * s1 + c * c * s0
+            swxy = sxy - c * swy
+            det = s0 * swxx - swx * swx
+            est = y[b].copy()
+            mean = s0 > 0.0
+            est[mean] = swy[mean] / s0[mean]
+            # the intercept at x - x_i = 0 is the estimate at x_i
+            line = det > 1e-12 * np.maximum(s0 * swxx, 1e-300)
+            est[line] = (swxx * swy - swx * swxy)[line] / det[line]
+            yest[b] = est
         residual = y - yest
         s = float(np.median(np.abs(residual)))
         if s == 0.0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,13 +36,15 @@ import numpy as np
 from .errors import OrientationError, SchemaError
 from .regression import (DataPoints, RationalQuadricSurface, _finite_numbers, _json_number,
                          _json_object, _read_text)
-from .transforms import _check_rigid, _flagged, _gram_drift, invert
+from .transforms import ORTHONORMAL_TOL, _check_rigid, _flagged, _gram_drift, invert
 from .wrist import HALF_PI, SubjectParams, _fk_arrays, _ik_arrays, sensor_frame_transform
 
 SESSION_HEADER = "t,px,py,pz,nx,ny,nz,ox,oy,oz,ax,ay,az"
 # Gram drift thresholds on loaded rotation columns: below KEEP the matrix is
 # stored bit-for-bit, up to REPAIR it is SVD-projected, beyond it is rejected.
-DRIFT_KEEP = 1e-9
+# KEEP is the tolerance of TrackingSession's own check, so a loaded rotation
+# meets it by construction.
+DRIFT_KEEP = ORTHONORMAL_TOL
 DRIFT_REPAIR = 1e-3
 _ROW_FORMAT = ",".join(["%.12f"] * 13)
 
@@ -59,7 +61,8 @@ class TrackingSession:
     sample: ``times`` (n,) s, rotations ``r`` (n, 3, 3) with columns n, o, a
     and positions ``p`` (n, 3) mm. Every row must pass the checks of
     :class:`~wristkin.transforms.Pose`, and times must be finite and
-    increase."""
+    increase. ``_rigid_checked`` skips the Pose checks, for rows that
+    :func:`load_session`'s parser already made pass them."""
 
     subject: SubjectParams
     times: np.ndarray
@@ -67,13 +70,15 @@ class TrackingSession:
     p: np.ndarray
     protocol: SessionProtocol | None = None
     handedness: str = "right"
+    _rigid_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _rigid_checked):
         times, r, p = (np.array(v, dtype=float) for v in (self.times, self.r, self.p))
         n = times.size
         if times.ndim != 1 or r.shape != (n, 3, 3) or p.shape != (n, 3):
             raise ValueError("times (n,), r (n, 3, 3) and p (n, 3) must have matching lengths")
-        _check_rigid(r, p)
+        if not _rigid_checked:
+            _check_rigid(r, p)
         if bad := _flagged(~np.isfinite(times)):
             raise ValueError(f"{bad[1]}timestamp must be finite")
         if np.any(np.diff(times) <= 0.0):
@@ -224,7 +229,8 @@ def _csv_numbers(rows: list[str], where, n_cols: int, first: int = 0) -> np.ndar
 def _parse_data(lines: list[str], where) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times (n,), rotations (n, 3, 3) and positions (n, 3) of a session
     data CSV's lines, checked and drift-repaired as :func:`load_session`
-    describes."""
+    describes: every returned row passes the checks of
+    :class:`~wristkin.transforms.Pose`."""
     if not lines or lines[0] != SESSION_HEADER:
         raise SchemaError(f"{where}: first line must be '{SESSION_HEADER}'")
     rows = lines[1:]
@@ -247,7 +253,7 @@ def _parse_data(lines: list[str], where) -> tuple[np.ndarray, np.ndarray, np.nda
     if bad := _flagged(drift > DRIFT_REPAIR, row):
         i, where = bad
         raise OrientationError(f"{where}orientation drift {drift[i]:.3e} exceeds {DRIFT_REPAIR}")
-    repair = drift > DRIFT_KEEP
+    repair = (drift > DRIFT_KEEP) | (np.abs(det - 1.0) > ORTHONORMAL_TOL)
     if repair.any():
         u, _, vt = np.linalg.svd(r[repair])
         r[repair] = u @ vt
@@ -257,17 +263,16 @@ def _parse_data(lines: list[str], where) -> tuple[np.ndarray, np.ndarray, np.nda
 def load_session(data_file, meta_file) -> TrackingSession:
     """Read and validate a session from the documented CSV + JSON pair.
 
-    Rotation columns with Gram drift in (1e-9, 1e-3] are re-orthonormalized
-    by SVD projection; larger drift or a reflection raises
-    OrientationError. Non-monotonic timestamps and malformed rows raise
-    SchemaError.
+    Rotation columns with Gram drift in (1e-9, 1e-3], or with a
+    determinant more than 1e-9 from 1, are re-orthonormalized by SVD
+    projection; larger drift or a reflection raises OrientationError.
+    Non-monotonic timestamps and malformed rows raise SchemaError.
     """
     meta = _json_object(_read_text(meta_file), meta_file)
     subject, protocol, handedness = _parse_meta(meta, meta_file)
     times, r, p = _parse_data(_read_text(data_file).splitlines(), data_file)
-    return TrackingSession(
-        subject=subject, times=times, r=r, p=p, protocol=protocol, handedness=handedness
-    )
+    return TrackingSession(subject=subject, times=times, r=r, p=p, protocol=protocol,
+                           handedness=handedness, _rigid_checked=True)
 
 
 def save_session(session: TrackingSession, data_file, meta_file) -> None:

@@ -47,12 +47,12 @@ ROOT = Path(__file__).resolve().parents[1]
 TRUTH = RationalQuadricSurface([21.0, 2.0, -25.0, 0.0, 12.0, 1.5], [0.0, 0.08, 0.0, 0.05, 0.0])
 
 
-def criterion_6_points(seed: int = 2026) -> DataPoints:
+def criterion_6_points(seed: int = 2026, noise: float = 1.35) -> DataPoints:
     """The acceptance suite's criterion-6 fit set: 9 of 25 synthetic
     subjects at 1.35 mm noise, 18 009 points; ``seed`` seeds the cohort
-    and its split."""
+    and its split. Criterion 7's is seed 99 without noise."""
     sessions = synthesize_sessions(SyntheticConfig(
-        ground_truth=TRUTH, n_subjects=25, seed=seed, noise_sigma_mm=1.35))
+        ground_truth=TRUTH, n_subjects=25, seed=seed, noise_sigma_mm=noise))
     fit_sessions, _ = subject_split(sessions, 9, seed=seed)
     return to_data_points([derive_joint_series(s) for s in fit_sessions])
 
@@ -428,6 +428,14 @@ class TestPolish:
         assert generations % POLISH_EVERY == 0
         # the linearized start, then one polish every POLISH_EVERY generations
         assert len(criterion_6_fit["polishes"]) == 1 + generations // POLISH_EVERY
+
+    def test_exact_fit_stops_at_the_rounding_floor(self, monkeypatch):
+        # criterion 7's noiseless data: the linearized start already fits
+        # to the rounding floor, where later polishes only trade last digits
+        results = []
+        record_polishes(monkeypatch, results)
+        fit_surface(criterion_6_points(seed=99, noise=0.0), GAConfig(seed=12))
+        assert len(results) <= 2
 
     def test_fit_independent_of_blas_threads(self):
         # prints the point count, each polish's SSE and the coefficients

@@ -96,6 +96,24 @@ class TestLoadSession:
         r = session.r[0]
         assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-9
 
+    def test_determinant_off_within_drift_tolerance_repaired(self, tmp_path, steep_truth):
+        # row 1 scaled by 1 + 0.495e-9: Gram drift 0.99e-9 keeps it
+        # unrepaired, but its determinant is 1 + 1.485e-9
+        session = synthesize_session(small_config(steep_truth), 0)
+        data, meta = tmp_path / "s.csv", tmp_path / "s.meta.json"
+        save_session(session, data, meta)
+        unmodified = load_session(data, meta)
+        lines = data.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[4:] = [f"{float(v) * (1 + 0.495e-9):.12f}" for v in fields[4:]]
+        lines[2] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        loaded = load_session(data, meta)
+        r = loaded.r[1]
+        assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-9
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-9
+        assert np.array_equal(np.delete(loaded.r, 1, axis=0), np.delete(unmodified.r, 1, axis=0))
+
     def test_wrong_header(self, tmp_path):
         data, meta = write_session_files(tmp_path, [IDENTITY_ROW])
         data.write_text("a,b,c\n1,2,3\n")
