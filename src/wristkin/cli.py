@@ -32,7 +32,7 @@ from .errors import (
     SchemaError,
     WristKinError,
 )
-from .ga import GAConfig, fit_surface
+from .ga import CROSSOVER_RATE, MUTATION_RATE, GAConfig, fit_surface
 from .regression import (
     _finite_numbers,
     _json_number,
@@ -154,22 +154,12 @@ def _load_dataset(data_dir: str) -> list[TrackingSession]:
     return [load_session(d, m) for d, m in _discover_sessions(data_dir)]
 
 
-def _resolve_theta(args, name: str, unit: str) -> float:
-    plain = getattr(args, name)
-    forced_deg = getattr(args, f"{name}_deg")
-    if (plain is None) == (forced_deg is None):
-        raise SchemaError(f"give exactly one of --{name} or --{name}-deg")
-    if forced_deg is not None:
-        return math.radians(forced_deg)
-    return _angle_to_rad(plain, unit)
-
-
 # --- subcommands -----------------------------------------------------------
 
 
 def _cmd_fk(args) -> int:
-    theta3 = _resolve_theta(args, "theta3", args.angle_unit)
-    theta4 = _resolve_theta(args, "theta4", args.angle_unit)
+    theta3 = _angle_to_rad(args.theta3, args.angle_unit)
+    theta4 = _angle_to_rad(args.theta4, args.angle_unit)
     state = JointState(theta3=theta3, theta4=theta4, d2=args.d2)
     subject = SubjectParams(a4=args.a4)
     pose = forward_kinematics(state, subject)
@@ -273,15 +263,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _ga_config(args) -> GAConfig:
-    overrides = {}
-    if args.generations is not None:
-        overrides["generations"] = args.generations
-    if args.population_size is not None:
-        overrides["population_size"] = args.population_size
-    return GAConfig(seed=args.seed, **overrides)
-
-
 def _cmd_fit(args) -> int:
     sessions = _load_dataset(args.data)
     if args.n_fit is not None:
@@ -292,7 +273,8 @@ def _cmd_fit(args) -> int:
             return USAGE_ERROR
         sessions, _ = subject_split(sessions, args.n_fit, seed=args.seed)
     points = to_data_points([derive_joint_series(s) for s in sessions])
-    config = _ga_config(args)
+    config = GAConfig(seed=args.seed, generations=args.generations,
+                      population_size=args.population_size)
     surface, report = fit_surface(points, config)
     out = _ensure_out(args)
     surface_path = out / "surface.json"
@@ -309,8 +291,8 @@ def _cmd_fit(args) -> int:
             "subjects_used": [s.subject.subject_id for s in sessions],
             "generations": config.generations,
             "population_size": config.population_size,
-            "crossover_rate": config.crossover_rate,
-            "mutation_rate": config.mutation_rate,
+            "crossover_rate": CROSSOVER_RATE,
+            "mutation_rate": MUTATION_RATE,
         },
         [args.data],
         [surface_path, report_path],
@@ -392,19 +374,15 @@ def _cmd_residuals(args) -> int:
     )
     std_res = standardized_residuals(residual)
     index = np.arange(residual.size, dtype=float)
-    if residual.size > args.lowess_max_points:
-        # display smoothing for large series: evaluate on a strided subset
-        # of anchors and interpolate between them
-        anchors = np.unique(
-            np.linspace(0, residual.size - 1, args.lowess_max_points).round().astype(int)
-        )
-        smooth_anchor = lowess(
-            index[anchors], std_res[anchors], frac=args.lowess_frac,
-            iterations=args.lowess_iterations,
-        )
-        smooth = np.interp(index, index[anchors], smooth_anchor)
-    else:
-        smooth = lowess(index, std_res, frac=args.lowess_frac, iterations=args.lowess_iterations)
+    # display smoothing on at most lowess_max_points evenly strided anchors,
+    # interpolated between them; a shorter series anchors at every index,
+    # where the interpolation returns the smoothed values exactly
+    anchors = np.unique(
+        np.linspace(0, residual.size - 1, args.lowess_max_points).round().astype(int)
+    )
+    smooth_anchor = lowess(index[anchors], std_res[anchors], frac=args.lowess_frac,
+                           iterations=args.lowess_iterations)
+    smooth = np.interp(index, index[anchors], smooth_anchor)
     out = _ensure_out(args)
     rows = [RESIDUALS_HEADER] + _csv_lines(range(residual.size), residual, std_res, smooth)
     residuals_path = out / "residuals.csv"
@@ -476,9 +454,7 @@ def _session_csv(lines: list[str], path: Path) -> str:
     if not meta.exists():
         _parse_data(lines, path)
         return "no metadata"
-    subject, protocol, handedness = _parse_meta(_json_object(_read_text(meta), meta), meta)
-    TrackingSession(subject, *_parse_data(lines, path), protocol, handedness,
-                    _rigid_checked=True)
+    load_session(path, meta)
     return meta.name
 
 
@@ -623,10 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fk", help="forward kinematics of one joint state")
-    p.add_argument("--theta3", type=float, help="deviation angle (in --angle-unit)")
-    p.add_argument("--theta3-deg", type=float, help="deviation angle in degrees")
-    p.add_argument("--theta4", type=float, help="flexion angle (in --angle-unit)")
-    p.add_argument("--theta4-deg", type=float, help="flexion angle in degrees")
+    p.add_argument("--theta3", type=float, required=True,
+                   help="deviation angle (in --angle-unit)")
+    p.add_argument("--theta4", type=float, required=True, help="flexion angle (in --angle-unit)")
     p.add_argument("--d2", type=float, required=True, help="prismatic offset (mm)")
     p.add_argument("--a4", type=float, required=True, help="fingertip link length (mm)")
     p.add_argument("--out", help="directory for pose.json + manifest")
@@ -662,8 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-fit", type=_COUNT, help="randomly keep this many sessions for fitting")
-    p.add_argument("--generations", type=_COUNT)
-    p.add_argument("--population-size", type=_checked(int, lambda v: v >= 4, "an integer >= 4"))
+    p.add_argument("--generations", type=_COUNT, default=GAConfig.generations)
+    p.add_argument("--population-size", default=GAConfig.population_size,
+                   type=_checked(int, lambda v: v >= 4, "an integer >= 4"))
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict d2 for sessions with a surface")

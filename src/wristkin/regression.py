@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -156,12 +157,12 @@ class RationalQuadricSurface:
             return float(out)
         return out
 
-    def is_pole_free(self, x_range, y_range, min_magnitude: float = POLE_FREE_TOL) -> bool:
-        """True when the denominator magnitude stays >= min_magnitude over
+    def is_pole_free(self, x_range, y_range) -> bool:
+        """True when the denominator magnitude stays >= POLE_FREE_TOL over
         the whole box given by the (lo, hi) ranges, decided exactly from
         the denominator's range (:func:`quadric_range`)."""
         lo, hi = quadric_range(np.concatenate(([1.0], self.denominator))[None], x_range, y_range)
-        return bool(max(lo[0], -hi[0]) >= min_magnitude)
+        return bool(max(lo[0], -hi[0]) >= POLE_FREE_TOL)
 
 
 def reference_surface() -> RationalQuadricSurface:
@@ -194,10 +195,15 @@ def _json_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _finite_number(value) -> bool:
+    """Whether a decoded JSON value is a number in the float range: not
+    NaN or infinite, nor an integer too long for a float."""
+    return _json_number(value) and abs(value) <= sys.float_info.max
+
+
 def _finite_numbers(value, count: int) -> bool:
     """Whether a decoded JSON value is a list of ``count`` finite numbers."""
-    return isinstance(value, list) and len(value) == count and all(
-        _json_number(v) and math.isfinite(v) for v in value)
+    return isinstance(value, list) and len(value) == count and all(map(_finite_number, value))
 
 
 def _read_text(path) -> str:

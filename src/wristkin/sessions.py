@@ -34,17 +34,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import OrientationError, SchemaError
-from .regression import (DataPoints, RationalQuadricSurface, _finite_numbers, _json_number,
-                         _json_object, _read_text)
+from .regression import (DataPoints, RationalQuadricSurface, _finite_number, _finite_numbers,
+                         _json_number, _json_object, _read_text)
 from .transforms import ORTHONORMAL_TOL, _check_rigid, _flagged, _gram_drift, invert
 from .wrist import HALF_PI, SubjectParams, _fk_arrays, _ik_arrays, sensor_frame_transform
 
 SESSION_HEADER = "t,px,py,pz,nx,ny,nz,ox,oy,oz,ax,ay,az"
-# Gram drift thresholds on loaded rotation columns: below KEEP the matrix is
-# stored bit-for-bit, up to REPAIR it is SVD-projected, beyond it is rejected.
-# KEEP is the tolerance of TrackingSession's own check, so a loaded rotation
-# meets it by construction.
-DRIFT_KEEP = ORTHONORMAL_TOL
+# Gram drift thresholds on loaded rotation columns: up to ORTHONORMAL_TOL
+# (TrackingSession's own tolerance) the matrix is stored bit-for-bit, up to
+# DRIFT_REPAIR it is SVD-projected, beyond it is rejected.
 DRIFT_REPAIR = 1e-3
 _ROW_FORMAT = ",".join(["%.12f"] * 13)
 
@@ -176,7 +174,7 @@ def _parse_meta(payload: dict, where) -> tuple[SubjectParams, SessionProtocol | 
     if not isinstance(subject_id, str):
         raise SchemaError(f"{where}: subject_id must be a string")
     a4 = payload.get("a4_mm")
-    if not _json_number(a4) or not math.isfinite(a4) or a4 <= 0:
+    if not _finite_number(a4) or a4 <= 0:
         raise SchemaError(f"{where}: a4_mm must be a positive number")
     p_lorg = payload.get("p_lorg_mm")
     if not _finite_numbers(p_lorg, 3):
@@ -191,8 +189,7 @@ def _parse_meta(payload: dict, where) -> tuple[SubjectParams, SessionProtocol | 
             not isinstance(proto, dict)
             or not _json_number(proto.get("cycles"), int)
             or proto["cycles"] < 1
-            or not _json_number(proto.get("duration_s"))
-            or not math.isfinite(proto["duration_s"])
+            or not _finite_number(proto.get("duration_s"))
             or proto["duration_s"] <= 0
         ):
             raise SchemaError(
@@ -246,14 +243,17 @@ def _parse_data(lines: list[str], where) -> tuple[np.ndarray, np.ndarray, np.nda
         raise SchemaError(f"{where}monotonicity violated (t = {times[i]} after {times[i - 1]})")
     # fields n, o, a of each row are the columns of its rotation
     r = values[:, 4:13].reshape(-1, 3, 3).transpose(0, 2, 1).copy()
-    det = np.linalg.det(r)
+    # a huge finite direction cosine can overflow det and the Gram matrix to
+    # inf or nan; such a row fails the reflection or the drift check
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(r)
+        drift = _gram_drift(r)
     if bad := _flagged(det <= 0.0, row):
-        raise OrientationError(f"{bad[1]}rotation is a reflection (det = {det[bad[0]]:.6f})")
-    drift = _gram_drift(r)
-    if bad := _flagged(drift > DRIFT_REPAIR, row):
+        raise OrientationError(f"{bad[1]}rotation is a reflection (det = {det[bad[0]]:.6g})")
+    if bad := _flagged(~(drift <= DRIFT_REPAIR), row):
         i, where = bad
         raise OrientationError(f"{where}orientation drift {drift[i]:.3e} exceeds {DRIFT_REPAIR}")
-    repair = (drift > DRIFT_KEEP) | (np.abs(det - 1.0) > ORTHONORMAL_TOL)
+    repair = (drift > ORTHONORMAL_TOL) | (np.abs(det - 1.0) > ORTHONORMAL_TOL)
     if repair.any():
         u, _, vt = np.linalg.svd(r[repair])
         r[repair] = u @ vt

@@ -108,24 +108,11 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 homogeneous matrix, got {m.shape}")
-        if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
-            raise ValueError("bottom row must be [0, 0, 0, 1]")
-        return cls(m[:3, :3], m[:3, 3])
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.r
         m[:3, 3] = self.p
         return m
-
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        """Map a point (mm, 3-vector) through this transform."""
-        return self.r @ np.asarray(point, dtype=float) + self.p
 
 
 @dataclass(frozen=True)

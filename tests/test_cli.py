@@ -3,7 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from wristkin import (
@@ -15,6 +17,7 @@ from wristkin import (
     derive_joint_series,
     forward_kinematics,
     load_session,
+    lowess,
     save_session,
     save_surface,
 )
@@ -45,7 +48,7 @@ def data_dir(tmp_path, steep_truth):
 
 class TestFkIk:
     def test_fk_prints_expected_pose(self, capsys):
-        rc = run(["fk", "--theta3-deg", "0", "--theta4-deg", "30", "--d2", "20", "--a4", "100"])
+        rc = run(["fk", "--theta3", "0", "--theta4", "30", "--d2", "20", "--a4", "100"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["p"] == pytest.approx([20.0, 86.6025, 50.0], abs=1e-4)
@@ -62,14 +65,9 @@ class TestFkIk:
         payload = json.loads(capsys.readouterr().out)
         assert payload["p"] == pytest.approx([20.0, 86.6025, 50.0], abs=1e-4)
 
-    def test_fk_requires_exactly_one_spelling(self, capsys):
-        rc = run(["fk", "--theta3-deg", "0", "--theta3", "0", "--theta4-deg", "0",
-                  "--d2", "0", "--a4", "100"])
-        assert rc == 3
-
     def test_round_trip_through_files(self, tmp_path, capsys):
         out = tmp_path / "fkout"
-        rc = run(["fk", "--theta3-deg", "7", "--theta4-deg", "-9", "--d2", "12.5",
+        rc = run(["fk", "--theta3", "7", "--theta4", "-9", "--d2", "12.5",
                   "--a4", "105", "--out", str(out)])
         assert rc == 0
         capsys.readouterr()
@@ -100,7 +98,7 @@ class TestFkIk:
         assert rc == 3
 
     def test_out_of_branch_angle_is_numeric_error(self, capsys):
-        rc = run(["fk", "--theta3-deg", "0", "--theta4-deg", "120", "--d2", "0", "--a4", "100"])
+        rc = run(["fk", "--theta3", "0", "--theta4", "120", "--d2", "0", "--a4", "100"])
         assert rc == 4
 
 
@@ -162,6 +160,28 @@ class TestPipeline:
         assert [int(r[0]) for r in rows] == list(range(len(rows)))
         assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
 
+    @pytest.mark.parametrize("max_points", [5000, 903, 902, 50])
+    def test_residuals_lowess_column(self, max_points, data_dir, tmp_path, steep_truth, capsys):
+        # the 903-sample series is smoothed at every index when it has at
+        # most max_points samples, else on evenly strided anchors
+        surface_path = tmp_path / "s.json"
+        save_surface(steep_truth, surface_path)
+        out = tmp_path / "res"
+        assert run(["residuals", "--surface", str(surface_path), "--data", str(data_dir),
+                    "--out", str(out), "--lowess-frac", "0.3", "--lowess-iterations", "2",
+                    "--lowess-max-points", str(max_points)]) == 0
+        table = np.loadtxt(out / "residuals.csv", delimiter=",", skiprows=1)
+        index, std_res, smooth = table[:, 0], table[:, 2], table[:, 3]
+        assert index.size == 903
+        if max_points >= index.size:
+            assert np.array_equal(smooth, lowess(index, std_res, frac=0.3, iterations=2))
+            return
+        anchors = np.unique(np.linspace(0, index.size - 1, max_points).round().astype(int))
+        assert anchors.size == max_points and anchors[-1] == index.size - 1
+        at_anchors = lowess(index[anchors], std_res[anchors], frac=0.3, iterations=2)
+        assert np.array_equal(smooth[anchors], at_anchors)
+        assert np.array_equal(smooth, np.interp(index, index[anchors], at_anchors))
+
     def test_stats_shows_strong_negative_correlation(self, data_dir, tmp_path, capsys):
         out = tmp_path / "stats"
         rc = run(["stats", "--data", str(data_dir), "--out", str(out)])
@@ -187,7 +207,7 @@ class TestCheck:
         tree = tmp_path / "tree"
         surface = str(tree / "fit" / "surface.json")
         data = ["--data", str(data_dir)]
-        for argv in (["fk", "--theta3-deg", "7", "--theta4-deg", "-9", "--d2", "12.5",
+        for argv in (["fk", "--theta3", "7", "--theta4", "-9", "--d2", "12.5",
                       "--a4", "105"],
                      ["ik", "--pose", str(tree / "fk" / "pose.json"), "--a4", "105"],
                      ["fit", *data, "--seed", "7", "--generations", "60"],
@@ -490,6 +510,25 @@ class TestExitCodes:
         with pytest.raises(SchemaError, match="finite duration_s"):
             load_session(csv, meta)
 
+    @pytest.mark.parametrize("cosine", ["-1e200", "1e200"])
+    def test_huge_direction_cosine_is_an_orientation_error(self, cosine, data_dir, capsys):
+        # finite, but its rotation's determinant and Gram matrix overflow
+        csv = data_dir / "subject_00.csv"
+        lines = csv.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[4] = cosine  # nx of row 1
+        lines[2] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["check", str(csv)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        prefix = f"error: {csv} row 1: "
+        assert len(lines) == 1 and lines[0].startswith(prefix)
+        assert len(lines[0]) - len(prefix) < 100  # no 200-digit determinant
+
     def test_session_metadata_is_standard_json(self, data_dir, tmp_path):
         session = load_session(data_dir / "subject_00.csv", data_dir / "subject_00.meta.json")
         session = dataclasses.replace(session, protocol=SessionProtocol(2, float("nan")))
@@ -507,7 +546,8 @@ class TestExitCodes:
 
     def test_usage_error(self, capsys):
         assert run([]) == 2
-        assert run(["fk", "--theta3-deg", "0"]) == 2  # missing required flags
+        assert run(["fk", "--theta3", "0"]) == 2  # missing required flags
+        assert run(["fk", "--theta3", "0", "--d2", "0", "--a4", "100"]) == 2  # and an angle
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2

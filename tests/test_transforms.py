@@ -53,12 +53,6 @@ class TestPose:
         assert np.array_equal(pose.o, [0, 1, 0])
         assert np.array_equal(pose.a, [0, 0, 1])
 
-    def test_matrix_round_trip(self, rng):
-        pose = random_pose(rng)
-        again = Pose.from_matrix(pose.as_matrix())
-        assert np.array_equal(again.r, pose.r)
-        assert np.array_equal(again.p, pose.p)
-
     def test_arrays_frozen(self):
         pose = Pose.identity()
         with pytest.raises(ValueError):

@@ -137,7 +137,7 @@ class TestSensorFrame:
         t = sensor_frame_transform(subject)
         for _ in range(20):
             a, b = rng.uniform(-50, 50, (2, 3))
-            da = t.apply(a) - t.apply(b)
+            da = (t.r @ a + t.p) - (t.r @ b + t.p)
             assert np.linalg.norm(da) == pytest.approx(np.linalg.norm(a - b), abs=1e-12)
 
 
