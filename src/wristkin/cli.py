@@ -448,14 +448,16 @@ def _cmd_stats(args) -> int:
 
 
 def _session_csv(lines: list[str], path: Path) -> str:
-    """The loader's checks of a session data file, with its metadata file
-    when there is one; returns which metadata was used."""
+    """The checks :func:`load_session` makes, in its order: of the metadata
+    file when there is one, then of the data file's lines; returns which
+    metadata was used."""
     meta = path.with_name(path.stem + ".meta.json")
-    if not meta.exists():
-        _parse_data(lines, path)
-        return "no metadata"
-    load_session(path, meta)
-    return meta.name
+    used = "no metadata"
+    if meta.exists():
+        _parse_meta(_json_object(_read_text(meta), meta), meta)
+        used = meta.name
+    _parse_data(lines, path)
+    return used
 
 
 def _numbers_from(first: int):
@@ -485,7 +487,9 @@ def _list_of(ok):
 
 
 _STRING = (lambda v: isinstance(v, str), "a string")
-_NUMBER = (_json_number, "a number")
+# a float the program can have written: NaN passes (an undefined r or
+# spearman), an integer too long for a float does not
+_NUMBER = (lambda v: _json_number(v) and not abs(v) > sys.float_info.max, "a number")
 _POSITIVE_INT = (lambda v: _json_number(v, int) and v >= 1, "a positive integer")
 _FIT_REPORT = {**dict.fromkeys(("sse", "rmse", "r", "r_squared"), _NUMBER), "n": _POSITIVE_INT}
 _VALIDATION_REPORT = {**dict.fromkeys(("n_subjects", "n_total"), _POSITIVE_INT),

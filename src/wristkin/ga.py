@@ -1,6 +1,6 @@
 """Real-coded simple genetic algorithm for fitting the rational surface.
 
-Minimizes the (weighted) sum of squared errors of a
+Minimizes the sum of squared errors of a
 :class:`~wristkin.regression.RationalQuadricSurface` on observed
 (beta3, beta4, d2) points, with a pole penalty that keeps the denominator
 bounded away from zero over the whole bounding box of the data. The penalty
@@ -76,8 +76,8 @@ MUTATION_SIGMA_FINAL_FRAC = 1e-6
 POLISH_EVERY = 250
 STOP_TOLERANCE = 1e-9
 # a best polished SSE at or below this fraction of the normalized
-# observations' weighted sum of squares is an exact fit at the rounding
-# floor, where further polishes only trade last digits: the GA stops
+# observations' sum of squares is an exact fit at the rounding floor, where
+# further polishes only trade last digits: the GA stops
 EXACT_FIT_TOLERANCE = 1e-24
 # Levenberg-Marquardt polish: initial damping, cap on trial steps, and the
 # relative SSE decrease at or below which it has converged
@@ -136,15 +136,13 @@ class _Problem:
     genes the plain surface coefficients.
     """
 
-    def __init__(self, num_basis, den_basis, den_map, box, z, w):
+    def __init__(self, num_basis, den_basis, den_map, box, z):
         # contiguous (k, n) transposes, so both fitness products stream rows
         self.num_basis_t = np.ascontiguousarray(np.transpose(num_basis))
         self.den_basis_t = np.ascontiguousarray(np.transpose(den_basis))
         self.den_map = den_map
         self.box = box
         self.z = np.asarray(z, dtype=float)
-        self.w = np.asarray(w, dtype=float)
-        self.sqrt_w = np.sqrt(self.w)
 
     @classmethod
     def from_data(cls, data: DataPoints) -> "_Problem":
@@ -155,7 +153,6 @@ class _Problem:
             den_map=np.eye(5),
             box=_box(data.x, data.y),
             z=data.z,
-            w=data.w,
         )
 
     def fitness_many(self, genes: np.ndarray) -> np.ndarray:
@@ -168,7 +165,7 @@ class _Problem:
             np.divide(num, den, out=num)
             np.subtract(self.z, num, out=num)
             np.square(num, out=num)
-            sse = num @ self.w
+            sse = np.einsum("mn->m", num)
         sse[~np.isfinite(sse)] = np.inf
         margin = self.margin(g_den)
         penalty = np.where(margin < PENALTY_DENOMINATOR_TOL,
@@ -188,12 +185,11 @@ class _Problem:
     # on the BLAS thread count.
 
     def residuals(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weighted residuals sqrt(w) * (z - num / den) of one gene vector,
-        with num and den."""
+        """Residuals z - num / den of one gene vector, with num and den."""
         num = np.einsum("kn,k->n", self.num_basis_t, genes[0::2])
         den = np.einsum("kn,k->n", self.den_basis_t, genes[1::2])
         den += 1.0
-        return self.sqrt_w * (self.z - num / den), num, den
+        return self.z - num / den, num, den
 
     def certified_sse(self, genes: np.ndarray) -> float:
         """SSE of one gene vector; inf unless it is finite and its
@@ -211,21 +207,21 @@ class _Problem:
         analytic Jacobian in gene order."""
         r, num, den = self.residuals(genes)
         jac_t = np.empty((11, r.size))
-        scale = self.sqrt_w / den
+        scale = 1.0 / den
         np.multiply(self.num_basis_t, -scale, out=jac_t[0::2])
         np.multiply(self.den_basis_t, scale * (num / den), out=jac_t[1::2])
         return np.einsum("in,jn->ij", jac_t, jac_t), np.einsum("in,n->i", jac_t, r)
 
     def linearized_start(self) -> np.ndarray | None:
         """Genes solving z * (1 + den_basis @ g_den) - num_basis @ g_num = 0
-        in weighted least squares (Loeb 1957; Sanathanan & Koerner 1963):
+        in least squares (Loeb 1957; Sanathanan & Koerner 1963):
         one 11-column solve of the normal equations. None when singular."""
         a_t = np.empty((11, self.z.size))
-        np.multiply(self.num_basis_t, self.sqrt_w, out=a_t[0::2])
-        np.multiply(self.den_basis_t, -self.sqrt_w * self.z, out=a_t[1::2])
+        a_t[0::2] = self.num_basis_t
+        np.multiply(self.den_basis_t, -self.z, out=a_t[1::2])
         try:
             return np.linalg.solve(np.einsum("in,jn->ij", a_t, a_t),
-                                   np.einsum("in,n->i", a_t, self.sqrt_w * self.z))
+                                   np.einsum("in,n->i", a_t, self.z))
         except np.linalg.LinAlgError:
             return None
 
@@ -459,15 +455,15 @@ def fit_surface(
     POLISH_EVERY generations and at the config.generations cap, and stops
     once such a polish fails to lower the best polished SSE by more than
     STOP_TOLERANCE relative, or the best polished SSE is at most
-    EXACT_FIT_TOLERANCE of the normalized observations' weighted sum of
-    squares. Returns the lowest-SSE polished surface that
-    is pole-free on the data's bounding box, else the GA's best if that
-    is, in plain coefficients, with its FitReport on the same data.
+    EXACT_FIT_TOLERANCE of the normalized observations' sum of squares.
+    Returns the lowest-SSE polished surface that is pole-free on the data's
+    bounding box, else the GA's best if that is, in plain coefficients,
+    with its FitReport on the same data.
     Raises DegenerateDataError when no candidate is pole-free.
     """
     if len(data) < 20:
         raise ValueError(f"need at least 20 data points, got {len(data)}")
-    x, y, z, w = data.x, data.y, data.z, data.w
+    x, y, z = data.x, data.y, data.z
     for name, column in (("beta3 (x)", x), ("beta4 (y)", y), ("d2 (z)", z)):
         spread = float(np.ptp(column))
         if spread <= SPREAD_TOL * float(np.abs(column).max()):
@@ -483,7 +479,6 @@ def fit_surface(
         den_map=pre.Md,
         box=_box(pre.u, pre.v),
         z=pre.zn,
-        w=w,
     )
 
     genes = _initial_genes(config)
@@ -500,7 +495,7 @@ def fit_surface(
         polished.append(result)
         return result[1]
 
-    exact = EXACT_FIT_TOLERANCE * float(np.einsum("n,n,n->", w, pre.zn, pre.zn))
+    exact = EXACT_FIT_TOLERANCE * float(np.einsum("n,n->", pre.zn, pre.zn))
     best = polish(problem.linearized_start())
     for g in range(config.generations):
         genes, fitnesses = _step_arrays(genes, fitnesses, problem, config, g)

@@ -12,7 +12,7 @@ the residual statistics used to judge a fit (SSE, RMSE, standardized
 residuals, R, R^2), classic robust LOWESS smoothing, Spearman rank
 correlation, and ordinary least squares — everything the downstream
 validation and reporting steps consume. Observations travel as one
-:class:`DataPoints` record of (x, y, z, w) columns.
+:class:`DataPoints` record of (x, y, z) columns.
 """
 
 from __future__ import annotations
@@ -244,27 +244,22 @@ def load_surface(path) -> RationalQuadricSurface:
 
 @dataclass(frozen=True)
 class DataPoints:
-    """Observations as columns: x = beta3 (rad), y = beta4 (rad), z = d2 (mm)
-    and weights w (default 1). Construction requires 1-d columns of one
-    length, finite values and positive weights, naming the first failing
-    point; ``len`` is the number of points."""
+    """Observations as columns: x = beta3 (rad), y = beta4 (rad) and
+    z = d2 (mm). Construction requires 1-d columns of one length and finite
+    values, naming the first failing point; ``len`` is the number of
+    points."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    w: np.ndarray | None = None
 
     def __post_init__(self):
         x, y, z = (np.array(v, dtype=float) for v in (self.x, self.y, self.z))
-        w = np.ones_like(x) if self.w is None else np.array(self.w, dtype=float)
-        if x.ndim != 1 or not x.shape == y.shape == z.shape == w.shape:
-            raise ValueError("x, y, z and w must be 1-d arrays of one length")
-        if bad := _flagged(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & np.isfinite(w)),
-                           "point"):
+        if x.ndim != 1 or not x.shape == y.shape == z.shape:
+            raise ValueError("x, y and z must be 1-d arrays of one length")
+        if bad := _flagged(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)), "point"):
             raise ValueError(f"{bad[1]}data point fields must be finite")
-        if bad := _flagged(w <= 0, "point"):
-            raise ValueError(f"{bad[1]}weight must be positive, got {w[bad[0]]}")
-        for name, value in (("x", x), ("y", y), ("z", z), ("w", w)):
+        for name, value in (("x", x), ("y", y), ("z", z)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -276,9 +271,8 @@ class DataPoints:
 class FitReport:
     """Goodness-of-fit bundle for one surface on one dataset.
 
-    r_squared is the raw 1 - SSE/SST value; it can fall outside [0, 1]
-    for fits worse than the mean predictor (flagged by
-    ``r_squared_out_of_range``, never clamped). ``r`` is the sample
+    r_squared is the raw 1 - SSE/SST value; it falls below 0 for fits
+    worse than the mean predictor and is never clamped. ``r`` is the sample
     correlation between predictions and observations (nan when the
     predictions have zero variance).
     """
@@ -290,10 +284,6 @@ class FitReport:
     residuals: np.ndarray
     standardized_residuals: np.ndarray
     n: int
-
-    @property
-    def r_squared_out_of_range(self) -> bool:
-        return not 0.0 <= self.r_squared <= 1.0
 
 
 def _pearson(u: np.ndarray, v: np.ndarray) -> float:
@@ -326,21 +316,21 @@ def standardized_residuals(residuals) -> np.ndarray:
 def fit_report(surface: RationalQuadricSurface, data: DataPoints) -> FitReport:
     """Evaluate ``surface`` on ``data`` and assemble the statistics.
 
-    SSE and R^2 are weight-aware (weighted mean for the total sum of
-    squares); RMSE is sqrt(SSE / n). Raises DegenerateDataError when all
+    SSE, the total sum of squares and the mean use numpy's pairwise
+    summation, not BLAS; RMSE is sqrt(SSE / n). Raises DegenerateDataError when all
     observations are identical (SST = 0). A perfect fit reports all-zero
     standardized residuals rather than failing on their zero variance.
     """
     if len(data) == 0:
         raise ValueError("data must be non-empty")
-    x, y, z, w = data.x, data.y, data.z, data.w
-    zhat = np.atleast_1d(surface.evaluate(x, y))
-    zbar = float(w @ z) / float(w.sum())
-    sst = float(w @ (z - zbar) ** 2)
+    z = data.z
+    zhat = np.atleast_1d(surface.evaluate(data.x, data.y))
+    zbar = z.mean()
+    sst = float(np.sum((z - zbar) ** 2))
     if sst == 0.0:
         raise DegenerateDataError("all observations identical (SST = 0)")
     eps = z - zhat
-    sse = float(w @ (eps * eps))
+    sse = float(np.sum(eps * eps))
     n = len(data)
     rmse = math.sqrt(sse / n)
     r_squared = 1.0 - sse / sst

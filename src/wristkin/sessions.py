@@ -14,9 +14,9 @@ File formats
 ------------
 data CSV    header ``t,px,py,pz,nx,ny,nz,ox,oy,oz,ax,ay,az``; t seconds,
             positions mm, direction cosines dimensionless.
-meta JSON   ``subject_id`` (str), ``a4_mm`` (> 0), ``p_lorg_mm`` (3 numbers),
-            ``handedness`` ("left"|"right"), optional ``protocol``
-            {"cycles", "duration_s"}.
+meta JSON   ``subject_id`` (str without ',', CR or LF), ``a4_mm`` (> 0),
+            ``p_lorg_mm`` (3 numbers), ``handedness`` ("left"|"right"),
+            optional ``protocol`` {"cycles", "duration_s"}.
 
 Numbers are written with 12 decimal places; a load/save cycle of a saved
 session is byte-identical. Loading checks header, columns, numbers, times
@@ -37,7 +37,8 @@ from .errors import OrientationError, SchemaError
 from .regression import (DataPoints, RationalQuadricSurface, _finite_number, _finite_numbers,
                          _json_number, _json_object, _read_text)
 from .transforms import ORTHONORMAL_TOL, _check_rigid, _flagged, _gram_drift, invert
-from .wrist import HALF_PI, SubjectParams, _fk_arrays, _ik_arrays, sensor_frame_transform
+from .wrist import (HALF_PI, SubjectParams, _fk_arrays, _ik_arrays, _plain_id,
+                    sensor_frame_transform)
 
 SESSION_HEADER = "t,px,py,pz,nx,ny,nz,ox,oy,oz,ax,ay,az"
 # Gram drift thresholds on loaded rotation columns: up to ORTHONORMAL_TOL
@@ -171,8 +172,8 @@ class SyntheticConfig:
 def _parse_meta(payload: dict, where) -> tuple[SubjectParams, SessionProtocol | None, str]:
     """Subject, protocol and handedness of a decoded metadata JSON object."""
     subject_id = payload.get("subject_id")
-    if not isinstance(subject_id, str):
-        raise SchemaError(f"{where}: subject_id must be a string")
+    if not _plain_id(subject_id):
+        raise SchemaError(f"{where}: subject_id must be a string without ',', CR or LF")
     a4 = payload.get("a4_mm")
     if not _finite_number(a4) or a4 <= 0:
         raise SchemaError(f"{where}: a4_mm must be a positive number")
@@ -307,9 +308,9 @@ def derive_joint_series(session: TrackingSession) -> JointSeries:
     return JointSeries(session.times, *joints)
 
 
-def to_data_points(series: JointSeries | Iterable[JointSeries]) -> DataPoints:
+def to_data_points(series: Iterable[JointSeries]) -> DataPoints:
     """Flatten joint series into one (beta3, beta4, d2) regression record."""
-    series = [series] if isinstance(series, JointSeries) else list(series)
+    series = list(series)
     return DataPoints(
         x=np.concatenate([np.empty(0)] + [s.beta3 for s in series]),
         y=np.concatenate([np.empty(0)] + [s.beta4 for s in series]),

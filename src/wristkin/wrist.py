@@ -78,10 +78,17 @@ class JointState:
         return self.theta4
 
 
+def _plain_id(subject_id) -> bool:
+    """Whether a subject label is a string without ',', CR or LF, so it is
+    one field of the CLI's CSV outputs."""
+    return isinstance(subject_id, str) and not any(c in subject_id for c in ",\r\n")
+
+
 @dataclass(frozen=True)
 class SubjectParams:
     """Per-subject constants: fingertip link length a4 (mm), sensor origin
-    p_lorg in the base frame (mm), and an opaque subject label."""
+    p_lorg in the base frame (mm), and an opaque subject label: a string
+    without ',', CR or LF."""
 
     a4: float
     p_lorg: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -93,6 +100,8 @@ class SubjectParams:
         p = np.array(self.p_lorg, dtype=float)
         if p.shape != (3,) or not np.isfinite(p).all():
             raise ValueError("p_lorg must be a finite 3-vector")
+        if not _plain_id(self.subject_id):
+            raise ValueError("subject_id must be a string without ',', CR or LF")
         p.flags.writeable = False
         object.__setattr__(self, "p_lorg", p)
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +259,21 @@ class TestCheck:
         assert run(["check", str(csv)]) == 3
         assert "row 2: monotonicity violated" in capsys.readouterr().err
 
+    def test_session_data_file_is_read_once(self, data_dir, capsys, monkeypatch):
+        csv, meta = data_dir / "subject_00.csv", data_dir / "subject_00.meta.json"
+        reads = []
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        assert run(["check", str(csv)]) == 0
+        assert "(session (subject_00.meta.json))" in capsys.readouterr().out
+        assert reads.count(csv) == 1
+        assert reads.count(meta) == 1
+
     def test_rejects_corrupt_session_rows(self, data_dir, capsys):
         csv = data_dir / "subject_00.csv"
         text = csv.read_text().splitlines()
@@ -450,6 +466,15 @@ CORRUPTED_FIELDS = [
     ("joints.json", ("angle_unit",), "grad", "'angle_unit' must be 'deg' or 'rad'"),
 ]
 
+# an integer too long for a float where each report schema reads a number:
+# document, path to the field, part of the error line
+LONG_INT_FIELDS = [
+    ("fit_report.json", ("sse",), "'sse' must be a number"),
+    ("validate_report.json", ("pooled_mean_mm",), "'pooled_mean_mm' must be a number"),
+    ("stats.json", ("pooled", "slope_mm_per_rad"), "'pooled' must be an object of n"),
+    ("joints.json", ("theta3",), "'theta3' must be a number"),
+]
+
 
 def _rejects_field(name, field, value, message, tmp_path, capsys, monkeypatch) -> None:
     """VALID_JSON[name] passes its check; with ``field`` set to ``value`` it
@@ -491,6 +516,35 @@ class TestExitCodes:
     def test_corrupted_document(self, name, field, value, message, tmp_path, capsys,
                                 monkeypatch):
         _rejects_field(name, field, value, message, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("name, field, message", LONG_INT_FIELDS,
+                             ids=[name for name, *_ in LONG_INT_FIELDS])
+    def test_integer_past_float_range_is_not_a_number(self, name, field, message, tmp_path,
+                                                      capsys, monkeypatch):
+        # 401 digits: a valid JSON number that no float can hold
+        _rejects_field(name, field, 10**400, message, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("subject_id", ["left,wrist", "two\nlines", "cr\r"])
+    def test_subject_id_that_breaks_a_csv_field(self, subject_id, data_dir, tmp_path, capsys):
+        # each id would add a column or a row to predictions.csv and
+        # per_subject.csv, which check then rejects
+        with pytest.raises(ValueError, match="subject_id must be a string without"):
+            SubjectParams(a4=100.0, subject_id=subject_id)
+        meta = data_dir / "subject_01.meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "subject_id": subject_id}))
+        surface = tmp_path / "s.json"
+        save_surface(RationalQuadricSurface([20.0, 0, 0, 0, 0, 0], [0.0] * 5), surface)
+        for argv in (["check", str(meta)],
+                     ["predict", "--surface", str(surface), "--data", str(data_dir),
+                      "--out", str(tmp_path / "o")]):
+            assert run(argv) == 3
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0] == (f"error: {meta}: subject_id must be a string "
+                                "without ',', CR or LF")
+        assert not (tmp_path / "o" / "predictions.csv").exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_duration_is_a_schema_error(self, literal, data_dir, capsys):

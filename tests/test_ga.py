@@ -105,7 +105,7 @@ class TestFitness:
 
     def test_batch_kernel_matches_oracle(self, rng):
         # every row of every batch size 1..20 against math.fsum of
-        # w * (z - surface.evaluate)^2 plus the documented pole penalty
+        # (z - surface.evaluate)^2 plus the documented pole penalty
         n = 5000
         x = rng.uniform(*PROTOCOL_X, n)
         y = rng.uniform(*PROTOCOL_Y, n)
@@ -113,7 +113,7 @@ class TestFitness:
         truth = RationalQuadricSurface([21.0, 2.0, -25.0, 0.0, 12.0, 1.5],
                                        [0.0, 0.08, 0.0, 0.05, 0.0])
         z = np.asarray(truth.evaluate(x, y)) + rng.normal(0, 1.35, n)
-        data = DataPoints(x, y, z, rng.uniform(0.5, 2.0, n))
+        data = DataPoints(x, y, z)
         genes = np.empty((20, 11))
         genes[:, 0::2] = rng.uniform(-30, 30, (20, 6))
         # |den - 1| <= 0.05 * (|x| + |y| + x^2 + y^2 + |xy|) < 0.3 on the
@@ -131,7 +131,7 @@ class TestFitness:
             if row == 13:
                 return math.inf
             pred = RationalQuadricSurface.from_coefficients(genes[row]).evaluate(x, y)
-            sse = math.fsum(data.w * (z - pred) ** 2)
+            sse = math.fsum((z - pred) ** 2)
             if row != 5:
                 return sse
             least = 1.0 - (1.0 - margin) / PROTOCOL_Y[1] * PROTOCOL_Y[1]
@@ -362,15 +362,14 @@ def criterion_6_fit():
 
 def plain_scaled_gradient(surface: RationalQuadricSurface, data: DataPoints) -> np.ndarray:
     """|J_i . r| / (|J_i| |r|) for each plain coefficient a1..a11, J being
-    the Jacobian of the weighted residuals sqrt(w) * (z - surface)."""
+    the Jacobian of the residuals z - surface."""
     num = surface.numerator_values(data.x, data.y)
     den = surface.denominator_values(data.x, data.y)
     design = quadric_design(data.x, data.y)
-    sqrt_w = np.sqrt(data.w)
-    r = sqrt_w * (data.z - num / den)
+    r = data.z - num / den
     jac = np.empty((len(data), 11))
-    jac[:, 0::2] = -(sqrt_w / den)[:, None] * design
-    jac[:, 1::2] = (sqrt_w * num / den**2)[:, None] * design[:, 1:]
+    jac[:, 0::2] = -design / den[:, None]
+    jac[:, 1::2] = (num / den**2)[:, None] * design[:, 1:]
     return np.abs(jac.T @ r) / (np.linalg.norm(jac, axis=0) * np.linalg.norm(r))
 
 
@@ -389,9 +388,8 @@ class TestPolish:
     def test_sse_at_most_polynomial_and_each_polish(self, criterion_6_fit):
         data, report = criterion_6_fit["data"], criterion_6_fit["report"]
         # the best quadric polynomial, in closed form: denominator 0 is feasible
-        sqrt_w = np.sqrt(data.w)
         design = quadric_design(data.x, data.y)
-        numerator = np.linalg.lstsq(design * sqrt_w[:, None], data.z * sqrt_w, rcond=None)[0]
+        numerator = np.linalg.lstsq(design, data.z, rcond=None)[0]
         polynomial = RationalQuadricSurface(numerator, [0.0] * 5)
         assert report.sse <= fit_report(polynomial, data).sse
         # the linearized start and at least one GA best, each polished to a

@@ -23,10 +23,6 @@ from wristkin import (
 from wristkin.regression import _average_ranks, quadric_range
 
 
-def make_points(x, y, z, w=None):
-    return DataPoints(x, y, z, w)
-
-
 class TestSurfaceEvaluate:
     def test_constant_surface(self):
         s = RationalQuadricSurface([5.0, 0, 0, 0, 0, 0], [0.0] * 5)
@@ -196,7 +192,7 @@ class TestFitReport:
         s = RationalQuadricSurface(rng.uniform(-2, 2, 6), rng.uniform(-0.05, 0.05, 5))
         x, y = rng.uniform(-1, 1, (2, 30))
         z = s.evaluate(x, y)
-        report = fit_report(s, make_points(x, y, z))
+        report = fit_report(s, DataPoints(x, y, z))
         assert report.sse == 0.0
         assert report.rmse == 0.0
         assert report.r_squared == 1.0
@@ -206,7 +202,7 @@ class TestFitReport:
     def test_two_point_arithmetic(self):
         # z = (1, 2), zhat = (0, 2): SSE = 1, RMSE = sqrt(0.5)
         s = RationalQuadricSurface([0.0, 0, 2.0, 0, 0, 0], [0.0] * 5)  # zhat = 2y
-        pts = make_points([0.0, 0.0], [0.0, 1.0], [1.0, 2.0])
+        pts = DataPoints([0.0, 0.0], [0.0, 1.0], [1.0, 2.0])
         report = fit_report(s, pts)
         assert report.sse == pytest.approx(1.0, abs=1e-15)
         assert report.rmse == pytest.approx(math.sqrt(0.5), abs=1e-12)
@@ -218,7 +214,7 @@ class TestFitReport:
             n = int(rng.integers(5, 200))
             x, y = rng.uniform(-1, 1, (2, n))
             z = np.asarray(s.evaluate(x, y)) + rng.normal(0, 1.0, n)
-            report = fit_report(s, make_points(x, y, z))
+            report = fit_report(s, DataPoints(x, y, z))
             zhat = np.asarray(s.evaluate(x, y))
             sse = math.fsum((zi - zhi) ** 2 for zi, zhi in zip(z, zhat))
             zbar = math.fsum(z) / n
@@ -227,15 +223,9 @@ class TestFitReport:
             assert abs(report.r_squared - (1.0 - sse / sst)) < 1e-10
             assert abs(report.rmse**2 * n - report.sse) < 1e-10 * max(1.0, sse)
 
-    def test_weighted_sums(self):
-        s = RationalQuadricSurface([0.0] * 6, [0.0] * 5)  # zhat = 0
-        pts = make_points([0.0, 1.0], [0.0, 0.0], [1.0, 2.0], w=[2.0, 3.0])
-        report = fit_report(s, pts)
-        assert report.sse == pytest.approx(2.0 * 1.0 + 3.0 * 4.0)
-
     def test_degenerate_constant_observations(self):
         s = reference_surface()
-        pts = make_points([0.0, 0.1, 0.2], [0.0, 0.0, 0.0], [3.0, 3.0, 3.0])
+        pts = DataPoints([0.0, 0.1, 0.2], [0.0, 0.0, 0.0], [3.0, 3.0, 3.0])
         with pytest.raises(DegenerateDataError):
             fit_report(s, pts)
 
@@ -244,17 +234,16 @@ class TestFitReport:
         s = RationalQuadricSurface([1000.0, 0, 0, 0, 0, 0], [0.0] * 5)
         x, y = rng.uniform(-1, 1, (2, 20))
         z = rng.normal(0, 1, 20)
-        report = fit_report(s, make_points(x, y, z))
+        report = fit_report(s, DataPoints(x, y, z))
         assert report.r_squared < 0.0
-        assert report.r_squared_out_of_range
 
     def test_r_squared_decreases_under_perturbation(self, rng):
         x, y = rng.uniform(-1, 1, (2, 40))
         base = RationalQuadricSurface([1.0, 2.0, -1.0, 0, 0, 0], [0.0] * 5)
         z = np.asarray(base.evaluate(x, y))
-        perfect = fit_report(base, make_points(x, y, z))
+        perfect = fit_report(base, DataPoints(x, y, z))
         nudged = RationalQuadricSurface([1.01, 2.0, -1.0, 0, 0, 0], [0.0] * 5)
-        worse = fit_report(nudged, make_points(x, y, z))
+        worse = fit_report(nudged, DataPoints(x, y, z))
         assert perfect.r_squared == 1.0
         assert worse.r_squared < 1.0
 
@@ -374,18 +363,7 @@ class TestLinearRegression:
 
 
 class TestDataPoint:
-    """Validation of the DataPoints record: weights, finiteness, shapes."""
-
-    def test_default_weight(self):
-        points = DataPoints([0.0, 1.0], [0.0, 0.5], [1.0, 2.0])
-        assert np.array_equal(points.w, [1.0, 1.0])
-        assert len(points) == 2
-
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError, match="point 1: weight must be positive"):
-            DataPoints([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], w=[1.0, 0.0])
-        with pytest.raises(ValueError, match="weight"):
-            DataPoints([0.0], [0.0], [1.0], w=[-2.0])
+    """Validation of the DataPoints record: finiteness, shapes."""
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="point 0: data point fields must be finite"):

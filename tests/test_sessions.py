@@ -290,12 +290,11 @@ class TestDeriveJointSeries:
     def test_to_data_points(self, steep_truth):
         session = synthesize_session(small_config(steep_truth), 0)
         series = derive_joint_series(session)
-        pts = to_data_points(series)
+        pts = to_data_points([series])
         assert len(pts) == len(series)
         assert np.array_equal(pts.x, series.beta3)
         assert np.array_equal(pts.y, series.beta4)
         assert np.array_equal(pts.z, series.d2)
-        assert np.array_equal(pts.w, np.ones(len(series)))
         both = to_data_points([series, series])
         assert len(both) == 2 * len(series)
         assert np.array_equal(both.z[len(series):], series.d2)
