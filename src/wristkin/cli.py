@@ -581,6 +581,7 @@ def _checked(kind: type, ok, requirement: str):
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
@@ -621,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic tracking sessions")
     p.add_argument("--subjects", type=_COUNT, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--cycles", type=_COUNT, default=10)
     p.add_argument("--duration", type=_POSITIVE, default=40.0, help="seconds")
@@ -639,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the offset surface to sessions")
     p.add_argument("--data", required=True, help="directory of session pairs")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--n-fit", type=_COUNT, help="randomly keep this many sessions for fitting")
     p.add_argument("--generations", type=_COUNT, default=GAConfig.generations)
     p.add_argument("--population-size", default=GAConfig.population_size,
@@ -664,8 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--lowess-frac", default=2.0 / 3.0,
                    type=_checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"))
-    p.add_argument("--lowess-iterations", default=3,
-                   type=_checked(int, lambda v: v >= 0, "an integer >= 0"))
+    p.add_argument("--lowess-iterations", type=_NON_NEGATIVE_INT, default=3)
     p.add_argument(
         "--lowess-max-points",
         type=_checked(int, lambda v: v >= 3, "an integer >= 3"),

@@ -37,7 +37,7 @@ from .errors import OrientationError, SchemaError
 from .regression import (DataPoints, RationalQuadricSurface, _finite_number, _finite_numbers,
                          _json_number, _json_object, _read_text)
 from .transforms import ORTHONORMAL_TOL, _check_rigid, _flagged, _gram_drift, invert
-from .wrist import (HALF_PI, SubjectParams, _fk_arrays, _ik_arrays, _plain_id,
+from .wrist import (HALF_PI, SubjectParams, _check_joints, _fk_arrays, _ik_arrays, _plain_id,
                     sensor_frame_transform)
 
 SESSION_HEADER = "t,px,py,pz,nx,ny,nz,ox,oy,oz,ax,ay,az"
@@ -111,10 +111,7 @@ class JointSeries:
             raise ValueError("times, theta3, theta4 and d2 must be 1-d arrays of one length")
         if bad := _flagged(~np.isfinite(times)):
             raise ValueError(f"{bad[1]}timestamp must be finite")
-        if bad := _flagged(~(np.isfinite(theta3) & np.isfinite(theta4) & np.isfinite(d2))):
-            raise ValueError(f"{bad[1]}joint state must be finite")
-        if bad := _flagged(np.abs(theta4) > HALF_PI):
-            raise ValueError(f"{bad[1]}theta4 {theta4[bad[0]]} outside [-pi/2, pi/2]")
+        _check_joints(theta3, theta4, d2)
         for name, value in zip(names, (times, theta3, theta4, d2)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

@@ -21,6 +21,8 @@ applies the fixed mounting rotation plus the measured sensor origin.
 
 ``_fk_arrays`` and ``_ik_arrays`` evaluate the closed forms on one pose or
 a batch; the single-pose functions call them, so both agree bit for bit.
+Likewise ``_check_joints`` holds the checks of one joint state and of a
+whole joint series.
 """
 
 from __future__ import annotations
@@ -51,6 +53,15 @@ SENSOR_ROTATION = np.array(
 SENSOR_ROTATION.flags.writeable = False
 
 
+def _check_joints(theta3, theta4, d2) -> None:
+    """The checks of :class:`JointState` on one state or on arrays of one
+    shape, each naming the first failing sample of the arrays."""
+    if bad := _flagged(~(np.isfinite(theta3) & np.isfinite(theta4) & np.isfinite(d2))):
+        raise ValueError(f"{bad[1]}joint state must be finite")
+    if bad := _flagged(np.abs(theta4) > HALF_PI):
+        raise ValueError(f"{bad[1]}theta4 {np.asarray(theta4)[bad[0]]} outside [-pi/2, pi/2]")
+
+
 @dataclass(frozen=True)
 class JointState:
     """Wrist configuration: theta3/theta4 in radians, d2 in millimeters.
@@ -64,10 +75,7 @@ class JointState:
     d2: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.theta3, self.theta4, self.d2))):
-            raise ValueError("joint state must be finite")
-        if not -HALF_PI <= self.theta4 <= HALF_PI:
-            raise ValueError(f"theta4 {self.theta4} outside [-pi/2, pi/2]")
+        _check_joints(self.theta3, self.theta4, self.d2)
 
     @property
     def beta3(self) -> float:

@@ -316,9 +316,11 @@ OUT_OF_RANGE = [
     ["synth", "--sample-rate", "0"],
     ["synth", "--noise-sigma", "-0.5"],
     ["synth", "--noise-sigma", "nan"],
+    ["synth", "--seed", "-1"],
     ["fit", "--data", "d", "--generations", "0"],
     ["fit", "--data", "d", "--population-size", "2"],
     ["fit", "--data", "d", "--n-fit", "0"],
+    ["fit", "--data", "d", "--seed", "-1"],
     ["residuals", "--surface", "s", "--data", "d", "--lowess-frac", "0"],
     ["residuals", "--surface", "s", "--data", "d", "--lowess-frac", "1.5"],
     ["residuals", "--surface", "s", "--data", "d", "--lowess-iterations", "-1"],

@@ -406,6 +406,9 @@ class TestTrackingSessionInvariants:
             (np.diag([1.0, 1.0, -1.0]), np.zeros(3), "rotation determinant"),
             (np.diag([1.0 + 1e-6, 1.0, 1.0]), np.zeros(3), "rotation not orthonormal"),
             (np.eye(3), np.array([0.0, np.nan, 0.0]), "pose entries must be finite"),
+            # the Gram matrix overflows; no RuntimeWarning may escape
+            (np.diag([1e200, 1.0, 1.0]), np.zeros(3), r"rotation not orthonormal \(drift inf\)"),
+            (np.diag([-1e200, 1.0, 1.0]), np.zeros(3), r"rotation not orthonormal \(drift inf\)"),
         ],
     )
     def test_rows_checked_like_pose(self, subject, bad_r, bad_p, match):
@@ -426,8 +429,15 @@ class TestTrackingSessionInvariants:
 class TestJointSeriesInvariants:
     def test_samples_checked_like_joint_state(self):
         t = np.array([0.0, 0.1, 0.2])
-        with pytest.raises(ValueError, match="sample 2: theta4"):
-            JointSeries(times=t, theta3=np.zeros(3), theta4=[0.0, 0.1, 2.0], d2=np.zeros(3))
+        for theta3, theta4, message in ((0.0, 2.0, "theta4 2.0 outside [-pi/2, pi/2]"),
+                                        (np.inf, 0.0, "joint state must be finite")):
+            with pytest.raises(ValueError) as scalar:
+                JointState(theta3=theta3, theta4=theta4, d2=0.0)
+            with pytest.raises(ValueError) as series:
+                JointSeries(times=t, theta3=[0.0, 0.0, theta3], theta4=[0.0, 0.1, theta4],
+                            d2=np.zeros(3))
+            assert str(scalar.value) == message
+            assert str(series.value) == f"sample 2: {message}"
         with pytest.raises(ValueError, match="sample 1: joint state must be finite"):
             JointSeries(times=t, theta3=[0.0, np.inf, 0.0], theta4=np.zeros(3), d2=np.zeros(3))
         with pytest.raises(ValueError, match="one length"):
