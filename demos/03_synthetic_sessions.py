@@ -3,7 +3,9 @@
 Each synthetic subject performs smooth flexion-extension cycles (neutral
 -> extension -> flexion -> neutral) with a small coupled deviation
 sinusoid; the prismatic offset follows a ground-truth surface plus
-optional noise. Sessions serialize to a CSV of sensor-frame poses plus a
+optional noise. The protocol is fixed: 10 deg extension to 30 deg flexion,
+a 5 deg deviation, a4 in [90, 110] mm and 50 Hz sampling; a config sets
+the cohort size, seed, cycles, duration and noise. Sessions serialize to a CSV of sensor-frame poses plus a
 JSON metadata file, and reload byte-identically.
 """
 
@@ -23,6 +25,7 @@ from wristkin import (
     synthesize_sessions,
     validation_stats,
 )
+from wristkin.sessions import EXTENSION_MAX, FLEXION_MAX
 
 truth = RationalQuadricSurface(
     numerator=[21.0, 2.0, -25.0, 0.0, 12.0, 1.5],
@@ -44,7 +47,7 @@ series = derive_joint_series(sessions[0])
 beta4_deg = np.degrees(series.beta4)
 print(f"beta4 starts at {beta4_deg[0]:+.3f} deg and first moves to {beta4_deg[1]:+.3f} deg (extension)")
 print(f"beta4 range: [{beta4_deg.min():+.2f}, {beta4_deg.max():+.2f}] deg "
-      f"(target [-{math.degrees(config.extension_max):.0f}, +{math.degrees(config.flexion_max):.0f}])")
+      f"(target [-{math.degrees(EXTENSION_MAX):.0f}, +{math.degrees(FLEXION_MAX):.0f}])")
 print(f"observed d2 range: [{series.d2.min():.2f}, {series.d2.max():.2f}] mm")
 
 print("\n--- file round trip ---")

@@ -4,10 +4,13 @@ validation, and plot-ready exports.
 Subcommands: fk, ik, synth, fit, predict, validate, residuals, stats,
 check. Commands that write files also emit a ``<command>_manifest.json``
 (command, tool version, resolved parameters, input/output paths — no
-timestamps, so reruns are byte-identical). Angles are degrees at the
-boundary unless ``--angle-unit rad`` is given; files always use radians.
+timestamps, so reruns are byte-identical). fk and ik take and print
+angles in degrees unless ``--angle-unit rad`` is given; files always use
+radians. synth draws the one protocol of
+:class:`~wristkin.sessions.SyntheticConfig`, and residuals smooths with
+:func:`~wristkin.regression.lowess` at its defaults.
 
-Exit codes: 0 success, 2 usage (out-of-range count, size or rate arguments
+Exit codes: 0 success, 2 usage (out-of-range count, size or duration arguments
 included; ``fit --n-fit`` is checked against the session count after
 loading), 3 data error (schema/orientation/reach), 4 numeric error (pole,
 degenerate statistic, invalid value).
@@ -27,13 +30,14 @@ from . import __version__
 from .errors import (
     DegenerateDataError,
     OrientationError,
-    OutOfReachError,
     PoleError,
     SchemaError,
     WristKinError,
 )
 from .ga import CROSSOVER_RATE, MUTATION_RATE, GAConfig, fit_surface
 from .regression import (
+    LOWESS_FRAC,
+    LOWESS_ITERATIONS,
     _finite_numbers,
     _json_number,
     _json_object,
@@ -48,6 +52,11 @@ from .regression import (
     standardized_residuals,
 )
 from .sessions import (
+    A4_RANGE,
+    EXTENSION_MAX,
+    FLEXION_MAX,
+    RUD_AMPLITUDE,
+    SAMPLE_RATE_HZ,
     SESSION_HEADER,
     SyntheticConfig,
     TrackingSession,
@@ -217,7 +226,6 @@ def _cmd_ik(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    unit = args.angle_unit
     surface = load_surface(args.surface) if args.surface else reference_surface()
     config = SyntheticConfig(
         ground_truth=surface,
@@ -225,12 +233,7 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
         cycles_per_subject=args.cycles,
         duration_s=args.duration,
-        flexion_max=_angle_to_rad(args.flexion_max, unit),
-        extension_max=_angle_to_rad(args.extension_max, unit),
-        rud_amplitude=_angle_to_rad(args.rud_amplitude, unit),
         noise_sigma_mm=args.noise_sigma,
-        a4_range=(args.a4_min, args.a4_max),
-        sample_rate_hz=args.sample_rate,
     )
     out = _ensure_out(args)
     outputs = []
@@ -247,14 +250,13 @@ def _cmd_synth(args) -> int:
             "seed": args.seed,
             "cycles": args.cycles,
             "duration_s": args.duration,
-            "sample_rate_hz": args.sample_rate,
-            "flexion_max_rad": config.flexion_max,
-            "extension_max_rad": config.extension_max,
-            "rud_amplitude_rad": config.rud_amplitude,
+            "sample_rate_hz": SAMPLE_RATE_HZ,
+            "flexion_max_rad": FLEXION_MAX,
+            "extension_max_rad": EXTENSION_MAX,
+            "rud_amplitude_rad": RUD_AMPLITUDE,
             "noise_sigma_mm": args.noise_sigma,
-            "a4_range_mm": [args.a4_min, args.a4_max],
+            "a4_range_mm": list(A4_RANGE),
             "surface": args.surface or "builtin-reference",
-            "angle_unit": unit,
         },
         [args.surface] if args.surface else [],
         outputs,
@@ -273,8 +275,7 @@ def _cmd_fit(args) -> int:
             return USAGE_ERROR
         sessions, _ = subject_split(sessions, args.n_fit, seed=args.seed)
     points = to_data_points([derive_joint_series(s) for s in sessions])
-    config = GAConfig(seed=args.seed, generations=args.generations,
-                      population_size=args.population_size)
+    config = GAConfig(seed=args.seed, generations=args.generations)
     surface, report = fit_surface(points, config)
     out = _ensure_out(args)
     surface_path = out / "surface.json"
@@ -380,8 +381,7 @@ def _cmd_residuals(args) -> int:
     anchors = np.unique(
         np.linspace(0, residual.size - 1, args.lowess_max_points).round().astype(int)
     )
-    smooth_anchor = lowess(index[anchors], std_res[anchors], frac=args.lowess_frac,
-                           iterations=args.lowess_iterations)
+    smooth_anchor = lowess(index[anchors], std_res[anchors])
     smooth = np.interp(index, index[anchors], smooth_anchor)
     out = _ensure_out(args)
     rows = [RESIDUALS_HEADER] + _csv_lines(range(residual.size), residual, std_res, smooth)
@@ -393,8 +393,8 @@ def _cmd_residuals(args) -> int:
         {
             "surface": args.surface,
             "data": args.data,
-            "lowess_frac": args.lowess_frac,
-            "lowess_iterations": args.lowess_iterations,
+            "lowess_frac": LOWESS_FRAC,
+            "lowess_iterations": LOWESS_ITERATIONS,
             "lowess_max_points": args.lowess_max_points,
         },
         [args.surface, args.data],
@@ -582,7 +582,9 @@ def _checked(kind: type, ok, requirement: str):
 
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+# synth's sample count, duration times SAMPLE_RATE_HZ, must be a finite number
+_DURATION = _checked(float, lambda v: 0.0 < v * SAMPLE_RATE_HZ < math.inf,
+                     f"a number > 0 that gives a finite sample count at {SAMPLE_RATE_HZ:g} Hz")
 _NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
@@ -625,16 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--cycles", type=_COUNT, default=10)
-    p.add_argument("--duration", type=_POSITIVE, default=40.0, help="seconds")
-    p.add_argument("--sample-rate", type=_POSITIVE, default=50.0, help="Hz")
+    p.add_argument("--duration", type=_DURATION, default=40.0, help="seconds")
     p.add_argument("--noise-sigma", type=_NON_NEGATIVE, default=0.0, help="d2 noise sd (mm)")
-    p.add_argument("--flexion-max", type=float, default=30.0)
-    p.add_argument("--extension-max", type=float, default=10.0)
-    p.add_argument("--rud-amplitude", type=float, default=5.0)
-    p.add_argument("--a4-min", type=float, default=90.0)
-    p.add_argument("--a4-max", type=float, default=110.0)
     p.add_argument("--surface", help="ground-truth surface JSON (default: built-in)")
-    _add_angle_unit(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit the offset surface to sessions")
@@ -643,8 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--n-fit", type=_COUNT, help="randomly keep this many sessions for fitting")
     p.add_argument("--generations", type=_COUNT, default=GAConfig.generations)
-    p.add_argument("--population-size", default=GAConfig.population_size,
-                   type=_checked(int, lambda v: v >= 4, "an integer >= 4"))
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict d2 for sessions with a surface")
@@ -663,9 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lowess-frac", default=2.0 / 3.0,
-                   type=_checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"))
-    p.add_argument("--lowess-iterations", type=_NON_NEGATIVE_INT, default=3)
     p.add_argument(
         "--lowess-max-points",
         type=_checked(int, lambda v: v >= 3, "an integer >= 3"),
@@ -695,16 +685,10 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (SchemaError, OrientationError, OutOfReachError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
     except (PoleError, DegenerateDataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    except WristKinError as exc:
+    except (WristKinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -39,6 +39,9 @@ NUM_COEFFS = 11
 # lowess works through its (n, n) distance matrix in blocks of rows of at
 # most this many elements
 LOWESS_BLOCK = 1 << 16
+# lowess's default smoothing span and robustness rounds
+LOWESS_FRAC = 2.0 / 3.0
+LOWESS_ITERATIONS = 3
 
 
 def quadric_design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -350,7 +353,19 @@ def fit_report(surface: RationalQuadricSurface, data: DataPoints) -> FitReport:
     )
 
 
-def lowess(x, y, frac: float = 2.0 / 3.0, iterations: int = 3) -> np.ndarray:
+def _pair(x, y, min_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays, checked to be 1-d, of equal length and at
+    least ``min_points`` long."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("x and y must be 1-d arrays of equal length")
+    if x.size < min_points:
+        raise ValueError(f"need at least {min_points} points")
+    return x, y
+
+
+def lowess(x, y, frac: float = LOWESS_FRAC, iterations: int = LOWESS_ITERATIONS) -> np.ndarray:
     """Classic robust LOWESS (local linear fits, tricube distance weights).
 
     For each point the window half-width h_i is the r-th smallest of
@@ -369,13 +384,8 @@ def lowess(x, y, frac: float = 2.0 / 3.0, iterations: int = 3) -> np.ndarray:
     robustness-weighted moment columns (1, x, x^2, y, x*y), x centred on
     its mean, and shifts them to each x_i.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("x and y must be 1-d arrays of equal length")
+    x, y = _pair(x, y, 3)
     n = x.size
-    if n < 3:
-        raise ValueError("need at least 3 points")
     if not 0.0 < frac <= 1.0:
         raise ValueError(f"frac must be in (0, 1], got {frac}")
     if iterations < 0:
@@ -471,12 +481,7 @@ def spearman_rho(x, y) -> float:
     computed as sqrt(sx2 * sy2) so rho(x, x) == 1.0 exactly. Raises
     DegenerateDataError when either rank vector has zero variance.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    if x.size < 2:
-        raise ValueError("need at least 2 points")
+    x, y = _pair(x, y, 2)
     rho = _pearson(_average_ranks(x), _average_ranks(y))
     if math.isnan(rho):
         raise DegenerateDataError("rank variance is zero (constant input)")
@@ -495,20 +500,12 @@ def linear_regression(x, y) -> LinearFit:
     Raises DegenerateDataError when x has zero variance. rho is nan when
     the rank correlation is degenerate (e.g. constant y).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    if x.size < 2:
-        raise ValueError("need at least 2 points")
+    x, y = _pair(x, y, 2)
     dx = x - x.mean()
     sxx = float(dx @ dx)
     if sxx == 0.0:
         raise DegenerateDataError("x has zero variance")
     slope = float(dx @ (y - y.mean())) / sxx
     intercept = float(y.mean()) - slope * float(x.mean())
-    try:
-        rho = spearman_rho(x, y)
-    except DegenerateDataError:
-        rho = float("nan")
+    rho = _pearson(_average_ranks(x), _average_ranks(y))
     return LinearFit(slope=slope, intercept=intercept, rho=rho)

@@ -128,16 +128,25 @@ class JointSeries:
         return self.theta4
 
 
+# the synthetic protocol of SyntheticConfig (angles rad, lengths mm)
+FLEXION_MAX = math.radians(30.0)
+EXTENSION_MAX = math.radians(10.0)
+RUD_AMPLITUDE = math.radians(5.0)
+A4_RANGE = (90.0, 110.0)
+SAMPLE_RATE_HZ = 50.0
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Protocol emulation parameters (angles radians, lengths mm).
+    """A synthetic cohort of the flexion-extension protocol (lengths mm).
 
     Each subject performs ``cycles_per_subject`` flexion-extension cycles
-    in ``duration_s`` seconds: beta4 runs neutral -> extension (negative)
-    -> flexion (positive) -> neutral per cycle, spanning
-    [-extension_max, +flexion_max]. theta3 is a coupled sinusoid of
-    amplitude ``rud_amplitude`` with a per-subject phase. d2 follows
-    ``ground_truth`` evaluated at (beta3, beta4) plus Gaussian noise.
+    in ``duration_s`` seconds, sampled at SAMPLE_RATE_HZ: beta4 runs
+    neutral -> extension (negative) -> flexion (positive) -> neutral per
+    cycle, spanning [-EXTENSION_MAX, +FLEXION_MAX]. theta3 is a coupled
+    sinusoid of amplitude RUD_AMPLITUDE with a per-subject phase, and a4 is
+    drawn from A4_RANGE. d2 follows ``ground_truth`` evaluated at
+    (beta3, beta4) plus Gaussian noise of sd ``noise_sigma_mm``.
     """
 
     ground_truth: RationalQuadricSurface
@@ -145,25 +154,18 @@ class SyntheticConfig:
     seed: int = 0
     cycles_per_subject: int = 10
     duration_s: float = 40.0
-    flexion_max: float = math.radians(30.0)
-    extension_max: float = math.radians(10.0)
-    rud_amplitude: float = math.radians(5.0)
     noise_sigma_mm: float = 0.0
-    a4_range: tuple[float, float] = (90.0, 110.0)
-    sample_rate_hz: float = 50.0
 
     def __post_init__(self):
-        if self.flexion_max < 0 or self.extension_max < 0:
-            raise ValueError("flexion_max and extension_max must be >= 0")
         if self.noise_sigma_mm < 0:
             raise ValueError("noise_sigma_mm must be >= 0")
         if self.n_subjects < 1:
             raise ValueError("n_subjects must be >= 1")
-        lo, hi = self.a4_range
-        if not 0 < lo <= hi:
-            raise ValueError(f"a4_range must be a positive interval, got {self.a4_range}")
-        if self.cycles_per_subject < 1 or self.duration_s <= 0 or self.sample_rate_hz <= 0:
-            raise ValueError("cycles, duration and sample rate must be positive")
+        if self.cycles_per_subject < 1 or not self.duration_s > 0:
+            raise ValueError("cycles and duration must be positive")
+        if not math.isfinite(self.duration_s * SAMPLE_RATE_HZ):
+            raise ValueError(f"duration_s {self.duration_s} gives a non-finite sample count "
+                             f"at {SAMPLE_RATE_HZ} Hz")
 
 
 def _parse_meta(payload: dict, where) -> tuple[SubjectParams, SessionProtocol | None, str]:
@@ -315,15 +317,11 @@ def to_data_points(series: Iterable[JointSeries]) -> DataPoints:
     )
 
 
-def _beta4_trajectory(t: np.ndarray, cycles: int, duration: float,
-                      flexion_max: float, extension_max: float) -> np.ndarray:
-    # sinusoid spanning [-extension_max, flexion_max], starting at neutral
+def _beta4_trajectory(t: np.ndarray, omega: float) -> np.ndarray:
+    # sinusoid spanning [-EXTENSION_MAX, FLEXION_MAX], starting at neutral
     # and moving into extension first
-    mid = (flexion_max - extension_max) / 2.0
-    amp = (flexion_max + extension_max) / 2.0
-    if amp == 0.0:
-        return np.zeros_like(t)
-    omega = 2.0 * math.pi * cycles / duration
+    mid = (FLEXION_MAX - EXTENSION_MAX) / 2.0
+    amp = (FLEXION_MAX + EXTENSION_MAX) / 2.0
     phase = math.asin(mid / amp)
     return mid - amp * np.sin(omega * t + phase)
 
@@ -337,19 +335,16 @@ def synthesize_session(config: SyntheticConfig, subject_index: int) -> TrackingS
     if not 0 <= subject_index < config.n_subjects:
         raise ValueError(f"subject_index {subject_index} outside 0..{config.n_subjects - 1}")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(subject_index,)))
-    a4 = float(rng.uniform(*config.a4_range))
+    a4 = float(rng.uniform(*A4_RANGE))
     p_lorg = rng.uniform(-250.0, 250.0, 3)
     rud_phase = float(rng.uniform(0.0, 2.0 * math.pi))
     subject = SubjectParams(a4=a4, p_lorg=p_lorg, subject_id=f"subject_{subject_index:02d}")
 
-    n = int(round(config.duration_s * config.sample_rate_hz)) + 1
-    t = np.arange(n) / config.sample_rate_hz
+    n = int(round(config.duration_s * SAMPLE_RATE_HZ)) + 1
+    t = np.arange(n) / SAMPLE_RATE_HZ
     omega = 2.0 * math.pi * config.cycles_per_subject / config.duration_s
-    theta4 = _beta4_trajectory(
-        t, config.cycles_per_subject, config.duration_s,
-        config.flexion_max, config.extension_max,
-    )
-    theta3 = config.rud_amplitude * np.sin(omega * t + rud_phase)
+    theta4 = _beta4_trajectory(t, omega)
+    theta3 = RUD_AMPLITUDE * np.sin(omega * t + rud_phase)
     beta3 = theta3 + math.pi / 2.0
     d2 = np.asarray(config.ground_truth.evaluate(beta3, theta4), dtype=float)
     if config.noise_sigma_mm > 0.0:

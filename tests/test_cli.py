@@ -23,6 +23,8 @@ from wristkin import (
     save_surface,
 )
 from wristkin.cli import run
+from wristkin.regression import LOWESS_FRAC, LOWESS_ITERATIONS
+from wristkin.sessions import A4_RANGE, EXTENSION_MAX, FLEXION_MAX, RUD_AMPLITUDE, SAMPLE_RATE_HZ
 
 
 @pytest.fixture
@@ -112,6 +114,13 @@ class TestPipeline:
         manifest = json.loads((data_dir / "synth_manifest.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["parameters"]["seed"] == 42
+        # the one synthetic protocol, recorded but not settable
+        assert manifest["parameters"]["sample_rate_hz"] == SAMPLE_RATE_HZ == 50.0
+        assert manifest["parameters"]["flexion_max_rad"] == FLEXION_MAX == math.radians(30.0)
+        assert manifest["parameters"]["extension_max_rad"] == EXTENSION_MAX == math.radians(10.0)
+        assert manifest["parameters"]["rud_amplitude_rad"] == RUD_AMPLITUDE == math.radians(5.0)
+        assert manifest["parameters"]["a4_range_mm"] == list(A4_RANGE) == [90.0, 110.0]
+        assert "angle_unit" not in manifest["parameters"]
         assert len(manifest["outputs"]) == 6
 
     def test_fit_predict_reproduces_rmse(self, data_dir, tmp_path, capsys):
@@ -152,14 +161,20 @@ class TestPipeline:
         save_surface(steep_truth, surface_path)
         out = tmp_path / "res"
         rc = run(["residuals", "--surface", str(surface_path), "--data", str(data_dir),
-                  "--out", str(out), "--lowess-frac", "0.4", "--lowess-iterations", "1",
-                  "--lowess-max-points", "200"])
+                  "--out", str(out), "--lowess-max-points", "200"])
         assert rc == 0
         lines = (out / "residuals.csv").read_text().splitlines()
         assert lines[0] == "index,residual,standardized_residual,lowess"
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == list(range(len(rows)))
         assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
+        # smoothed by lowess at its defaults, which the manifest records
+        table = np.array(rows, dtype=float)
+        anchors = np.unique(np.linspace(0, len(rows) - 1, 200).round().astype(int))
+        assert np.array_equal(table[anchors, 3], lowess(table[anchors, 0], table[anchors, 2]))
+        parameters = json.loads((out / "residuals_manifest.json").read_text())["parameters"]
+        assert (parameters["lowess_frac"], parameters["lowess_iterations"]) == (
+            LOWESS_FRAC, LOWESS_ITERATIONS) == (2.0 / 3.0, 3)
 
     @pytest.mark.parametrize("max_points", [5000, 903, 902, 50])
     def test_residuals_lowess_column(self, max_points, data_dir, tmp_path, steep_truth, capsys):
@@ -169,17 +184,16 @@ class TestPipeline:
         save_surface(steep_truth, surface_path)
         out = tmp_path / "res"
         assert run(["residuals", "--surface", str(surface_path), "--data", str(data_dir),
-                    "--out", str(out), "--lowess-frac", "0.3", "--lowess-iterations", "2",
-                    "--lowess-max-points", str(max_points)]) == 0
+                    "--out", str(out), "--lowess-max-points", str(max_points)]) == 0
         table = np.loadtxt(out / "residuals.csv", delimiter=",", skiprows=1)
         index, std_res, smooth = table[:, 0], table[:, 2], table[:, 3]
         assert index.size == 903
         if max_points >= index.size:
-            assert np.array_equal(smooth, lowess(index, std_res, frac=0.3, iterations=2))
+            assert np.array_equal(smooth, lowess(index, std_res))
             return
         anchors = np.unique(np.linspace(0, index.size - 1, max_points).round().astype(int))
         assert anchors.size == max_points and anchors[-1] == index.size - 1
-        at_anchors = lowess(index[anchors], std_res[anchors], frac=0.3, iterations=2)
+        at_anchors = lowess(index[anchors], std_res[anchors])
         assert np.array_equal(smooth[anchors], at_anchors)
         assert np.array_equal(smooth, np.interp(index, index[anchors], at_anchors))
 
@@ -307,25 +321,37 @@ def _output_kind(name: str) -> str:
     return OUTPUT_KINDS[name]
 
 
-# out-of-range count, size and rate arguments, one per flag
+# out-of-range count, size and duration arguments, one per flag
 OUT_OF_RANGE = [
     ["synth", "--subjects", "0"],
     ["synth", "--cycles", "-1"],
     ["synth", "--duration", "-1"],
     ["synth", "--duration", "inf"],
-    ["synth", "--sample-rate", "0"],
+    # a finite duration whose sample count at 50 Hz is not
+    ["synth", "--duration", "1e308"],
     ["synth", "--noise-sigma", "-0.5"],
     ["synth", "--noise-sigma", "nan"],
     ["synth", "--seed", "-1"],
     ["fit", "--data", "d", "--generations", "0"],
-    ["fit", "--data", "d", "--population-size", "2"],
     ["fit", "--data", "d", "--n-fit", "0"],
     ["fit", "--data", "d", "--seed", "-1"],
-    ["residuals", "--surface", "s", "--data", "d", "--lowess-frac", "0"],
-    ["residuals", "--surface", "s", "--data", "d", "--lowess-frac", "1.5"],
-    ["residuals", "--surface", "s", "--data", "d", "--lowess-iterations", "-1"],
     ["residuals", "--surface", "s", "--data", "d", "--lowess-max-points", "2"],
     ["synth", "--subjects", "three"],
+]
+
+# flags that set the synthetic protocol, the GA population or the LOWESS
+# span and rounds are not options: each is an unrecognized argument
+REMOVED_FLAGS = [
+    ["synth", "--flexion-max", "-5"],
+    ["synth", "--extension-max", "-5"],
+    ["synth", "--rud-amplitude", "nan"],
+    ["synth", "--a4-min", "0"],
+    ["synth", "--a4-max", "0"],
+    ["synth", "--sample-rate", "0"],
+    ["synth", "--angle-unit", "rad"],
+    ["fit", "--data", "d", "--population-size", "2"],
+    ["residuals", "--surface", "s", "--data", "d", "--lowess-frac", "0"],
+    ["residuals", "--surface", "s", "--data", "d", "--lowess-iterations", "-1"],
 ]
 
 
@@ -600,6 +626,13 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=lambda argv: " ".join(argv[-2:]))
+    def test_removed_flag_is_unrecognized(self, argv, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+        message = "wristkin: error: unrecognized arguments: " + " ".join(argv[-2:])
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error(self, capsys):
         assert run([]) == 2
         assert run(["fk", "--theta3", "0"]) == 2  # missing required flags
@@ -615,8 +648,7 @@ class TestExitCodes:
         surface_path = tmp_path / "t.json"
         save_surface(steep_truth, surface_path)
         rc = run(["synth", "--subjects", "1", "--seed", "1", "--out", str(out),
-                  "--cycles", "1", "--duration", "0.1", "--sample-rate", "50",
-                  "--surface", str(surface_path)])
+                  "--cycles", "1", "--duration", "0.1", "--surface", str(surface_path)])
         assert rc == 0
         assert run(["fit", "--data", str(out), "--out", str(tmp_path / "f")]) == 4
 

@@ -26,7 +26,8 @@ from wristkin import (
     to_data_points,
     validation_stats,
 )
-from wristkin.sessions import SESSION_HEADER
+from wristkin.sessions import (A4_RANGE, EXTENSION_MAX, FLEXION_MAX, RUD_AMPLITUDE, SAMPLE_RATE_HZ,
+                               SESSION_HEADER)
 from wristkin.wrist import _fk_arrays
 
 
@@ -202,12 +203,12 @@ class TestSynthesize:
         assert abs(beta4[0]) < 1e-9
         assert beta4[1] < 0.0
         # discrete sampling straddles the sinusoid extrema
-        assert beta4.min() == pytest.approx(-config.extension_max, abs=2e-3)
-        assert beta4.min() >= -config.extension_max - 1e-12
-        assert beta4.max() == pytest.approx(config.flexion_max, abs=2e-3)
-        assert beta4.max() <= config.flexion_max + 1e-12
+        assert beta4.min() == pytest.approx(-EXTENSION_MAX, abs=2e-3)
+        assert beta4.min() >= -EXTENSION_MAX - 1e-12
+        assert beta4.max() == pytest.approx(FLEXION_MAX, abs=2e-3)
+        assert beta4.max() <= FLEXION_MAX + 1e-12
         period = config.duration_s / config.cycles_per_subject
-        k = int(round(period * config.sample_rate_hz))
+        k = int(round(period * SAMPLE_RATE_HZ))
         assert np.allclose(beta4[: len(beta4) - k], beta4[k:], atol=1e-9)
 
     def test_sample_rate_and_duration(self, steep_truth):
@@ -220,6 +221,11 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize_session(small_config(steep_truth), 3)
 
+    @pytest.mark.parametrize("duration", [1e308, math.inf, math.nan, 0.0])
+    def test_sample_count_must_be_finite_and_positive(self, steep_truth, duration):
+        with pytest.raises(ValueError, match="duration"):
+            small_config(steep_truth, duration_s=duration)
+
 
 class TestDeriveJointSeries:
     def test_round_trip_noiseless(self, steep_truth):
@@ -228,21 +234,21 @@ class TestDeriveJointSeries:
         series = derive_joint_series(session)
         # reconstruct the generator's trajectories independently
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
-        rng.uniform(*config.a4_range)
+        rng.uniform(*A4_RANGE)
         rng.uniform(-250.0, 250.0, 3)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         t = session.times
         omega = 2.0 * math.pi * config.cycles_per_subject / config.duration_s
-        theta3 = config.rud_amplitude * np.sin(omega * t + phase)
+        theta3 = RUD_AMPLITUDE * np.sin(omega * t + phase)
         assert np.abs(series.beta3 - (theta3 + math.pi / 2)).max() < 1e-9
         d2_truth = np.asarray(
             steep_truth.evaluate(theta3 + math.pi / 2, series.beta4)
         )
         assert np.abs(series.d2 - d2_truth).max() < 1e-9
 
-    def test_neutral_sample(self, steep_truth):
-        config = small_config(steep_truth, rud_amplitude=0.0)
-        session = synthesize_session(config, 0)
+    def test_neutral_sample(self, steep_truth, monkeypatch):
+        monkeypatch.setattr("wristkin.sessions.RUD_AMPLITUDE", 0.0)
+        session = synthesize_session(small_config(steep_truth), 0)
         series = derive_joint_series(session)
         assert abs(series.theta3[0]) < 1e-12
         assert abs(series.theta4[0]) < 1e-12
@@ -260,12 +266,12 @@ class TestDeriveJointSeries:
         with pytest.raises(OutOfReachError, match="sample 1"):
             derive_joint_series(session)
 
-    def test_single_pose_api_matches_batch_bit_for_bit(self, steep_truth):
+    def test_single_pose_api_matches_batch_bit_for_bit(self, steep_truth, monkeypatch):
         # one FK/IK implementation: the scalar functions reproduce each
         # batch row exactly, not just within a tolerance
-        config = small_config(steep_truth, noise_sigma_mm=0.5, rud_amplitude=0.3,
-                              flexion_max=1.2)
-        session = synthesize_session(config, 2)
+        monkeypatch.setattr("wristkin.sessions.RUD_AMPLITUDE", 0.3)
+        monkeypatch.setattr("wristkin.sessions.FLEXION_MAX", 1.2)
+        session = synthesize_session(small_config(steep_truth, noise_sigma_mm=0.5), 2)
         subject = session.subject
         series = derive_joint_series(session)
         fk_r, fk_p = _fk_arrays(series.theta3, series.theta4, series.d2, subject.a4)
