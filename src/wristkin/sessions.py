@@ -18,9 +18,12 @@ meta JSON   ``subject_id`` (str without ',', CR or LF), ``a4_mm`` (> 0),
             ``p_lorg_mm`` (3 numbers), ``handedness`` ("left"|"right"),
             optional ``protocol`` {"cycles", "duration_s"}.
 
-Numbers are written with 12 decimal places; a load/save cycle of a saved
-session is byte-identical. Loading checks header, columns, numbers, times
-and rotations in that order, naming the first row failing a check.
+Numbers are written exactly as ``"%.12f"`` writes them: correctly rounded
+to 12 decimal places, ties to even. The writer formats in numpy, and a
+table holding any value of magnitude 2**53 or more goes through ``%``. A
+load/save cycle of a saved session is byte-identical. Loading checks
+header, columns, numbers, times and rotations in that order, naming the
+first row failing a check.
 """
 
 from __future__ import annotations
@@ -275,12 +278,98 @@ def load_session(data_file, meta_file) -> TrackingSession:
                            handedness=handedness, _rigid_checked=True)
 
 
+def _digit_words() -> np.ndarray:
+    """The digits of 0..9999 as 4-byte little-endian words, three tables one
+    after the other: zero-padded ("0042"), with leading zeros as 0 bytes
+    ("42"; 0 is empty), and the same with 0 as "0"."""
+    k = np.arange(10_000)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    chars = (digits + ord("0")) << np.array([0, 8, 16, 24])
+    bare = np.where(k[:, None] < np.array([1000, 100, 10, 1]), 0, chars).sum(axis=1)
+    units = bare.copy()
+    units[0] = ord("0") << 24
+    return np.concatenate([chars.sum(axis=1), bare, units]).astype("<u4")
+
+
+_DIGIT_WORDS = _digit_words()
+
+
+def _veltkamp(a):
+    """(hi, lo) with hi + lo == a exactly and each half of at most 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_E12_HI, _E12_LO = _veltkamp(1e12)
+
+
+def _groups(v: np.ndarray, count: int):
+    """The ``count`` 4-digit groups of int64 ``v`` < 10**(4 * count), least
+    significant first."""
+    for _ in range(count - 1):
+        q = v // 10_000
+        yield v - q * 10_000
+        v = q
+    yield v
+
+
+def _data_bytes(table: np.ndarray) -> bytes:
+    """A session data file holding ``table`` (n, 13): the header, then each
+    row's values formatted ``"%.12f"`` and joined by ',', a row per line.
+
+    Each |x| below 2**53 is formatted in numpy, exactly as ``%`` does: its
+    integer part ``ip`` and its fraction ``f = |x| - ip`` are exact, and
+    Dekker's two-product gives ``p + e == f * 1e12`` exactly, with |e| at
+    most half an ulp of ``p``. So ``rint(p)`` (half to even) is ``f * 1e12``
+    rounded unless ``p`` is a half-integer, where the sign of ``e`` decides;
+    ``e`` is computed for those values only. The digits come from 4-digit
+    words, and the unused bytes of each value's fixed slots are 0 and
+    dropped in one gather. A table holding a larger or non-finite value is
+    formatted by ``%``."""
+    x = table.ravel()
+    a = np.abs(x)
+    if not (a < 2.0**53).all():
+        text = "\n".join([SESSION_HEADER] + [_ROW_FORMAT] * len(table)) % tuple(x.tolist())
+        return (text + "\n").encode()
+    ip = np.floor(a)
+    f = a - ip
+    p = f * 1e12
+    frac = np.rint(p)
+    half = p - frac
+    tie = np.flatnonzero(np.abs(half) == 0.5)
+    if tie.size:
+        f_hi, f_lo = _veltkamp(f[tie])
+        e = ((f_hi * _E12_HI - p[tie]) + f_hi * _E12_LO + f_lo * _E12_HI) + f_lo * _E12_LO
+        # p + e lies past the half-integer p, away from rint(p)
+        frac[tie] += np.where(e * half[tie] > 0.0, 2.0 * half[tie], 0.0)
+    carry = frac == 1e12
+    ip = (ip + carry).astype(np.int64)
+    frac = (frac - carry * 1e12).astype(np.int64)
+
+    # a value's slots: separator and sign, k integer groups, '.', 3 fraction groups
+    k = (len(str(ip.max(initial=0))) + 3) // 4
+    words = np.empty((x.size, k + 5), dtype="<u4")
+    rows = words.reshape(-1, 13, k + 5)
+    rows[:, 0, 0] = ord("\n")
+    rows[:, 1:, 0] = ord(",")
+    words[:, 0] |= np.signbit(x).astype(np.uint32) * (ord("-") << 8)
+    for col, group in zip(range(k, 0, -1), _groups(ip, k)):
+        # zero-padded below the leading group, bare from it up, "0" if ip is 0
+        leading = ip < 10_000 ** (k - col + 1)
+        words[:, col] = _DIGIT_WORDS[group + leading * (20_000 if col == k else 10_000)]
+    words[:, k + 1] = ord(".")
+    for col, group in zip(range(k + 4, k + 1, -1), _groups(frac, 3)):
+        words[:, col] = _DIGIT_WORDS[group]
+    out = words.view(np.uint8).ravel()
+    return SESSION_HEADER.encode() + out[out != 0].tobytes() + b"\n"
+
+
 def save_session(session: TrackingSession, data_file, meta_file) -> None:
     """Write the canonical file pair (12-decimal fixed formatting)."""
     n = len(session)
     table = np.column_stack([session.times, session.p, session.r.transpose(0, 2, 1).reshape(n, 9)])
-    text = "\n".join([SESSION_HEADER] + [_ROW_FORMAT] * n) % tuple(table.ravel().tolist())
-    Path(data_file).write_text(text + "\n")
+    Path(data_file).write_bytes(_data_bytes(table))
 
     meta = {
         "subject_id": session.subject.subject_id,
