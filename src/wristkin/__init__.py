@@ -34,7 +34,6 @@ from .regression import (
 )
 from .sessions import (
     JointSeries,
-    SessionProtocol,
     SubjectValidation,
     SyntheticConfig,
     TrackingSession,
@@ -76,7 +75,6 @@ __all__ = [
     "Pose",
     "RationalQuadricSurface",
     "SchemaError",
-    "SessionProtocol",
     "SubjectParams",
     "SubjectValidation",
     "SyntheticConfig",

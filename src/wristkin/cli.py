@@ -43,6 +43,7 @@ from .regression import (
     _json_object,
     _read_text,
     _surface_from_payload,
+    _write_json,
     fit_report,
     linear_regression,
     load_surface,
@@ -87,10 +88,6 @@ NUMERIC_ERROR = 4
 def _csv_lines(*columns) -> list[str]:
     """Comma-joined rows of equal-length columns; floats print as ``repr``."""
     return list(map(",".join, zip(*(map(str, np.asarray(c).tolist()) for c in columns))))
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict, inputs, outputs) -> Path:

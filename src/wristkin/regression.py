@@ -183,12 +183,11 @@ def reference_surface() -> RationalQuadricSurface:
 
 def save_surface(surface: RationalQuadricSurface, path) -> None:
     """Write the documented surface JSON (numerator/denominator/angle_unit)."""
-    payload = {
+    _write_json(path, {
         "numerator": [float(v) for v in surface.numerator],
         "denominator": [float(v) for v in surface.denominator],
         "angle_unit": "rad",
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _json_number(value, kind=(int, float)) -> bool:
@@ -228,6 +227,11 @@ def _json_object(text: str, where) -> dict:
     if not isinstance(payload, dict):
         raise SchemaError(f"{where}: expected a JSON object")
     return payload
+
+
+def _write_json(path, payload) -> None:
+    """Write the JSON file ``path`` in the package's one layout: indent 2, sorted keys."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _surface_from_payload(payload: dict, where) -> RationalQuadricSurface:

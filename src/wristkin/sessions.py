@@ -15,20 +15,19 @@ File formats
 data CSV    header ``t,px,py,pz,nx,ny,nz,ox,oy,oz,ax,ay,az``; t seconds,
             positions mm, direction cosines dimensionless.
 meta JSON   ``subject_id`` (str without ',', CR or LF), ``a4_mm`` (> 0),
-            ``p_lorg_mm`` (3 numbers), ``handedness`` ("left"|"right"),
-            optional ``protocol`` {"cycles", "duration_s"}.
+            ``p_lorg_mm`` (3 numbers), ``handedness`` ("left"|"right");
+            other keys, such as an older file's ``protocol``, are ignored.
 
 Numbers are written exactly as ``"%.12f"`` writes them: correctly rounded
 to 12 decimal places, ties to even. The writer formats in numpy, and a
 table holding any value of magnitude 2**53 or more goes through ``%``. A
-load/save cycle of a saved session is byte-identical. Loading checks
-header, columns, numbers, times and rotations in that order, naming the
-first row failing a check.
+load/save cycle of a saved session is byte-identical; saving refuses a
+session that would not load back. Loading checks header, columns, numbers,
+times and rotations in that order, naming the first row failing a check.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import InitVar, dataclass
 from pathlib import Path
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import OrientationError, SchemaError
 from .regression import (DataPoints, RationalQuadricSurface, _finite_number, _finite_numbers,
-                         _json_number, _json_object, _read_text)
+                         _json_object, _read_text, _write_json)
 from .transforms import ORTHONORMAL_TOL, _check_rigid, _flagged, _gram_drift, invert
 from .wrist import (HALF_PI, SubjectParams, _check_joints, _fk_arrays, _ik_arrays, _plain_id,
                     sensor_frame_transform)
@@ -52,25 +51,18 @@ _ROW_FORMAT = ",".join(["%.12f"] * 13)
 
 
 @dataclass(frozen=True)
-class SessionProtocol:
-    cycles: int
-    duration_s: float
-
-
-@dataclass(frozen=True)
 class TrackingSession:
     """Timestamped sensor-frame poses plus subject constants, one row per
     sample: ``times`` (n,) s, rotations ``r`` (n, 3, 3) with columns n, o, a
-    and positions ``p`` (n, 3) mm. Every row must pass the checks of
-    :class:`~wristkin.transforms.Pose`, and times must be finite and
-    increase. ``_rigid_checked`` skips the Pose checks, for rows that
-    :func:`load_session`'s parser already made pass them."""
+    and positions ``p`` (n, 3) mm. There is at least one row, every row must
+    pass the checks of :class:`~wristkin.transforms.Pose`, and times must be
+    finite and increase. ``_rigid_checked`` skips the Pose checks, for rows
+    that :func:`load_session`'s parser already made pass them."""
 
     subject: SubjectParams
     times: np.ndarray
     r: np.ndarray
     p: np.ndarray
-    protocol: SessionProtocol | None = None
     handedness: str = "right"
     _rigid_checked: InitVar[bool] = False
 
@@ -79,6 +71,8 @@ class TrackingSession:
         n = times.size
         if times.ndim != 1 or r.shape != (n, 3, 3) or p.shape != (n, 3):
             raise ValueError("times (n,), r (n, 3, 3) and p (n, 3) must have matching lengths")
+        if n == 0:
+            raise ValueError("a session needs at least one sample")
         if not _rigid_checked:
             _check_rigid(r, p)
         if bad := _flagged(~np.isfinite(times)):
@@ -171,8 +165,8 @@ class SyntheticConfig:
                              f"at {SAMPLE_RATE_HZ} Hz")
 
 
-def _parse_meta(payload: dict, where) -> tuple[SubjectParams, SessionProtocol | None, str]:
-    """Subject, protocol and handedness of a decoded metadata JSON object."""
+def _parse_meta(payload: dict, where) -> tuple[SubjectParams, str]:
+    """Subject and handedness of a decoded metadata JSON object."""
     subject_id = payload.get("subject_id")
     if not _plain_id(subject_id):
         raise SchemaError(f"{where}: subject_id must be a string without ',', CR or LF")
@@ -185,22 +179,8 @@ def _parse_meta(payload: dict, where) -> tuple[SubjectParams, SessionProtocol | 
     handedness = payload.get("handedness")
     if handedness not in ("left", "right"):
         raise SchemaError(f"{where}: handedness must be 'left' or 'right'")
-    protocol = None
-    if "protocol" in payload:
-        proto = payload["protocol"]
-        if (
-            not isinstance(proto, dict)
-            or not _json_number(proto.get("cycles"), int)
-            or proto["cycles"] < 1
-            or not _finite_number(proto.get("duration_s"))
-            or proto["duration_s"] <= 0
-        ):
-            raise SchemaError(
-                f"{where}: protocol must hold integer cycles >= 1 and finite duration_s > 0"
-            )
-        protocol = SessionProtocol(cycles=proto["cycles"], duration_s=float(proto["duration_s"]))
     subject = SubjectParams(a4=float(a4), p_lorg=np.array(p_lorg, dtype=float), subject_id=subject_id)
-    return subject, protocol, handedness
+    return subject, handedness
 
 
 def _csv_numbers(rows: list[str], where, n_cols: int, first: int = 0) -> np.ndarray:
@@ -272,10 +252,10 @@ def load_session(data_file, meta_file) -> TrackingSession:
     Non-monotonic timestamps and malformed rows raise SchemaError.
     """
     meta = _json_object(_read_text(meta_file), meta_file)
-    subject, protocol, handedness = _parse_meta(meta, meta_file)
+    subject, handedness = _parse_meta(meta, meta_file)
     times, r, p = _parse_data(_read_text(data_file).splitlines(), data_file)
-    return TrackingSession(subject=subject, times=times, r=r, p=p, protocol=protocol,
-                           handedness=handedness, _rigid_checked=True)
+    return TrackingSession(subject=subject, times=times, r=r, p=p, handedness=handedness,
+                           _rigid_checked=True)
 
 
 def _digit_words() -> np.ndarray:
@@ -314,24 +294,13 @@ def _groups(v: np.ndarray, count: int):
     yield v
 
 
-def _data_bytes(table: np.ndarray) -> bytes:
-    """A session data file holding ``table`` (n, 13): the header, then each
-    row's values formatted ``"%.12f"`` and joined by ',', a row per line.
-
-    Each |x| below 2**53 is formatted in numpy, exactly as ``%`` does: its
-    integer part ``ip`` and its fraction ``f = |x| - ip`` are exact, and
-    Dekker's two-product gives ``p + e == f * 1e12`` exactly, with |e| at
+def _fixed12(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part and 12 fraction digits (int64) of each ``a`` in [0, 2**53)
+    rounded as ``"%.12f"`` rounds it. ``ip`` and ``f = a - ip`` are exact,
+    and Dekker's two-product gives ``p + e == f * 1e12`` exactly, with |e| at
     most half an ulp of ``p``. So ``rint(p)`` (half to even) is ``f * 1e12``
     rounded unless ``p`` is a half-integer, where the sign of ``e`` decides;
-    ``e`` is computed for those values only. The digits come from 4-digit
-    words, and the unused bytes of each value's fixed slots are 0 and
-    dropped in one gather. A table holding a larger or non-finite value is
-    formatted by ``%``."""
-    x = table.ravel()
-    a = np.abs(x)
-    if not (a < 2.0**53).all():
-        text = "\n".join([SESSION_HEADER] + [_ROW_FORMAT] * len(table)) % tuple(x.tolist())
-        return (text + "\n").encode()
+    ``e`` is computed for those values only."""
     ip = np.floor(a)
     f = a - ip
     p = f * 1e12
@@ -344,8 +313,21 @@ def _data_bytes(table: np.ndarray) -> bytes:
         # p + e lies past the half-integer p, away from rint(p)
         frac[tie] += np.where(e * half[tie] > 0.0, 2.0 * half[tie], 0.0)
     carry = frac == 1e12
-    ip = (ip + carry).astype(np.int64)
-    frac = (frac - carry * 1e12).astype(np.int64)
+    return (ip + carry).astype(np.int64), (frac - carry * 1e12).astype(np.int64)
+
+
+def _data_bytes(table: np.ndarray) -> bytes:
+    """A session data file holding ``table`` (n, 13): the header, then each
+    row's values formatted ``"%.12f"`` and joined by ',', a row per line.
+    Values below 2**53 in magnitude get the digits of :func:`_fixed12` as
+    4-digit words whose 0 bytes are dropped in one gather; a table holding a
+    larger or non-finite value goes through ``%``."""
+    x = table.ravel()
+    a = np.abs(x)
+    if not (a < 2.0**53).all():
+        text = "\n".join([SESSION_HEADER] + [_ROW_FORMAT] * len(table)) % tuple(x.tolist())
+        return (text + "\n").encode()
+    ip, frac = _fixed12(a)
 
     # a value's slots: separator and sign, k integer groups, '.', 3 fraction groups
     k = (len(str(ip.max(initial=0))) + 3) // 4
@@ -366,23 +348,25 @@ def _data_bytes(table: np.ndarray) -> bytes:
 
 
 def save_session(session: TrackingSession, data_file, meta_file) -> None:
-    """Write the canonical file pair (12-decimal fixed formatting)."""
-    n = len(session)
-    table = np.column_stack([session.times, session.p, session.r.transpose(0, 2, 1).reshape(n, 9)])
+    """Write the canonical file pair (12-decimal fixed formatting). A time
+    that the file's rounding makes no greater than the one before it raises
+    ValueError naming its sample, as :func:`load_session` would refuse it."""
+    t, n = session.times, len(session)
+    # times 2e-12 or more apart (a margin over 1e-12) never round alike; the rest are < 2**53
+    i = np.flatnonzero(np.diff(t) < 2e-12) + 1
+    pair = t[np.stack([i - 1, i])]
+    ip, frac = np.where(np.signbit(pair), -1, 1) * np.stack(_fixed12(np.abs(pair)))
+    if (equal := (ip[0] == ip[1]) & (frac[0] == frac[1])).any():
+        k = i[equal.argmax()]
+        raise ValueError(f"sample {k}: time {t[k]} is not after {t[k - 1]} at 12 decimals")
+    table = np.column_stack([t, session.p, session.r.transpose(0, 2, 1).reshape(n, 9)])
     Path(data_file).write_bytes(_data_bytes(table))
-
-    meta = {
+    _write_json(meta_file, {
         "subject_id": session.subject.subject_id,
         "a4_mm": float(session.subject.a4),
         "p_lorg_mm": [float(v) for v in session.subject.p_lorg],
         "handedness": session.handedness,
-    }
-    if session.protocol is not None:
-        meta["protocol"] = {
-            "cycles": session.protocol.cycles,
-            "duration_s": float(session.protocol.duration_s),
-        }
-    Path(meta_file).write_text(json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    })
 
 
 def derive_joint_series(session: TrackingSession) -> JointSeries:
@@ -447,7 +431,6 @@ def synthesize_session(config: SyntheticConfig, subject_index: int) -> TrackingS
         times=t,
         r=to_sensor.r @ r,
         p=p @ to_sensor.r.T + to_sensor.p,
-        protocol=SessionProtocol(cycles=config.cycles_per_subject, duration_s=config.duration_s),
     )
 
 
@@ -518,8 +501,6 @@ def validation_stats(
     per_subject = []
     pooled = []
     for session, series, predicted in _session_predictions(surface, sessions):
-        if len(session) == 0:
-            raise ValueError(f"session {session.subject.subject_id!r} has no samples")
         observed = series.d2
         residual = predicted - observed
         mask = np.abs(observed) >= PCT_ERROR_MIN_D2

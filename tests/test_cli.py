@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import io
 import json
 import math
@@ -13,14 +12,13 @@ from wristkin import (
     JointState,
     RationalQuadricSurface,
     SchemaError,
-    SessionProtocol,
     SubjectParams,
     derive_joint_series,
     forward_kinematics,
     load_session,
     lowess,
-    save_session,
     save_surface,
+    subject_split,
 )
 from wristkin.cli import run
 from wristkin.regression import LOWESS_FRAC, LOWESS_ITERATIONS
@@ -139,6 +137,35 @@ class TestPipeline:
         lines = (pred_out / "predictions.csv").read_text().splitlines()
         assert lines[0] == "subject_id,t,beta3,beta4,d2_observed,d2_predicted"
         assert len(lines) == 1 + fit_report["n"]
+
+    def test_fit_on_n_fit_subjects(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(data_dir), "--n-fit", "2", "--generations", "300",
+                    "--out", str(out)]) == 0
+        sessions = [load_session(csv, csv.with_name(csv.stem + ".meta.json"))
+                    for csv in sorted(data_dir.glob("*.csv"))]
+        fit_half, _ = subject_split(sessions, 2, seed=0)
+        manifest = json.loads((out / "fit_manifest.json").read_text())
+        assert manifest["parameters"]["subjects_used"] == [
+            s.subject.subject_id for s in fit_half]
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["n"] == sum(map(len, fit_half)) < sum(map(len, sessions))
+
+    def test_validate_pct_error_without_qualifying_samples(self, tmp_path, capsys):
+        # every d2 is 0.5 mm, below PCT_ERROR_MIN_D2, so no sample has a
+        # percentage error
+        surface_path = tmp_path / "flat.json"
+        save_surface(RationalQuadricSurface([0.5, 0, 0, 0, 0, 0], [0.0] * 5), surface_path)
+        data, out = tmp_path / "data", tmp_path / "val"
+        assert run(["synth", "--subjects", "2", "--cycles", "1", "--duration", "2",
+                    "--surface", str(surface_path), "--out", str(data)]) == 0
+        assert run(["validate", "--surface", str(surface_path), "--data", str(data),
+                    "--out", str(out)]) == 0
+        per_subject = out / "per_subject.csv"
+        rows = [line.split(",") for line in per_subject.read_text().splitlines()]
+        assert rows[0][4] == "pct_error"
+        assert [row[4] for row in rows[1:]] == ["nan", "nan"]
+        assert run(["check", str(per_subject)]) == 0
 
     def test_validate_output_schema(self, data_dir, tmp_path, steep_truth, capsys):
         surface_path = tmp_path / "s.json"
@@ -472,8 +499,6 @@ BOOLEAN_FIELDS = [
     ("validate_report.json", ("n_subjects",), "'n_subjects' must be a positive integer"),
     ("s.meta.json", ("a4_mm",), "a4_mm must be a positive number"),
     ("s.meta.json", ("p_lorg_mm", 1), "p_lorg_mm must be 3 finite numbers"),
-    ("s.meta.json", ("protocol", "cycles"), "protocol must hold integer cycles"),
-    ("s.meta.json", ("protocol", "duration_s"), "protocol must hold integer cycles"),
     ("pose", ("a", 2), "stdin: 'a' must be 3 finite numbers"),
     ("pose.json", ("p", 0), "'p' must be 3 finite numbers"),
     ("joints.json", ("d2_mm",), "'d2_mm' must be a number"),
@@ -579,17 +604,18 @@ class TestExitCodes:
         csv, meta = data_dir / "subject_00.csv", data_dir / "subject_00.meta.json"
         assert run(["check", str(meta)]) == 0
         capsys.readouterr()
+        # a literal Python's json decodes, in a meta number
         payload = json.loads(meta.read_text())
-        payload["protocol"]["duration_s"] = float(literal)
+        payload["a4_mm"] = float(literal)
         meta.write_text(json.dumps(payload))
-        assert f'"duration_s": {literal}' in meta.read_text()
+        assert f'"a4_mm": {literal}' in meta.read_text()
         assert run(["check", str(meta)]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "finite duration_s > 0" in lines[0]
-        with pytest.raises(SchemaError, match="finite duration_s"):
+        assert "a4_mm must be a positive number" in lines[0]
+        with pytest.raises(SchemaError, match="a4_mm must be a positive number"):
             load_session(csv, meta)
 
     @pytest.mark.parametrize("cosine", ["-1e200", "1e200"])
@@ -611,11 +637,13 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith(prefix)
         assert len(lines[0]) - len(prefix) < 100  # no 200-digit determinant
 
-    def test_session_metadata_is_standard_json(self, data_dir, tmp_path):
-        session = load_session(data_dir / "subject_00.csv", data_dir / "subject_00.meta.json")
-        session = dataclasses.replace(session, protocol=SessionProtocol(2, float("nan")))
-        with pytest.raises(ValueError, match="JSON compliant"):
-            save_session(session, tmp_path / "s.csv", tmp_path / "s.meta.json")
+    def test_session_metadata_is_standard_json(self, data_dir):
+        def refuse(literal):
+            raise AssertionError(f"non-standard JSON literal {literal}")
+
+        meta = data_dir / "subject_00.meta.json"
+        payload = json.loads(meta.read_text(), parse_constant=refuse)
+        assert sorted(payload) == ["a4_mm", "handedness", "p_lorg_mm", "subject_id"]
 
     @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda argv: " ".join(argv[-2:]))
     def test_out_of_range_argument_is_usage_error(self, argv, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wristkin import (
@@ -138,6 +138,13 @@ class TestLoadSession:
         with pytest.raises(SchemaError, match="no samples"):
             load_session(*write_session_files(tmp_path, []))
 
+    def test_unknown_metadata_keys_ignored(self, tmp_path):
+        # older files carry a protocol block, which nothing reads
+        meta = {"subject_id": "t", "a4_mm": 100.0, "p_lorg_mm": [0.0, 0.0, 0.0],
+                "handedness": "left", "protocol": {"cycles": 2, "duration_s": float("nan")}}
+        session = load_session(*write_session_files(tmp_path, [IDENTITY_ROW], meta))
+        assert session.handedness == "left" and len(session) == 1
+
     @pytest.mark.parametrize(
         "patch",
         [
@@ -169,15 +176,47 @@ class TestSaveLoadRoundTrip:
         save_session(loaded, d2, m2)
         assert d1.read_bytes() == d2.read_bytes()
         assert m1.read_bytes() == m2.read_bytes()
-
-    def test_protocol_preserved(self, tmp_path, steep_truth):
-        session = synthesize_session(small_config(steep_truth), 1)
-        d, m = tmp_path / "a.csv", tmp_path / "a.meta.json"
-        save_session(session, d, m)
-        loaded = load_session(d, m)
-        assert loaded.protocol.cycles == 4
-        assert loaded.protocol.duration_s == 8.0
         assert loaded.handedness == "right"
+
+    @pytest.mark.parametrize("times", [[-1e-13, 5e-13, 1.0], [-4.9e-13, 4.9e-13, 1.0]])
+    def test_times_that_round_together_are_refused(self, tmp_path, subject, times):
+        # both first times round to zero at 12 decimals, which the loader
+        # would read as a repeated time
+        session = TrackingSession(subject=subject, times=np.array(times),
+                                  r=np.stack([np.eye(3)] * 3), p=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=f"^sample 1: time {times[1]} is not after {times[0]}"):
+            save_session(session, tmp_path / "a.csv", tmp_path / "a.meta.json")
+        assert not (tmp_path / "a.csv").exists()
+
+    @given(st.one_of(st.floats(-5.0, 5.0), st.floats(-3e-12, 3e-12)),
+           st.lists(st.integers(0, 40), min_size=2, max_size=6, unique=True))
+    @example(-6e-13, [0, 3])  # -0.000000000001 and 0.000000000001 differ
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_refused_exactly_when_reload_would_fail(self, tmp_path_factory, base, steps):
+        # oracle: the loader's own check on the times as `%.12f` writes them
+        times = np.unique(base + np.array(steps) * 4e-13)
+        written = [float("%.12f" % v) for v in times]
+        first_bad = next((j for j in range(1, len(times)) if written[j] <= written[j - 1]), None)
+        n = len(times)
+        session = TrackingSession(subject=SubjectParams(a4=100.0), times=times,
+                                  r=np.stack([np.eye(3)] * n), p=np.zeros((n, 3)))
+        d = tmp_path_factory.mktemp("s")
+        if first_bad is None:
+            save_session(session, d / "a.csv", d / "a.meta.json")
+            assert len(load_session(d / "a.csv", d / "a.meta.json")) == n
+        else:
+            with pytest.raises(ValueError, match=f"^sample {first_bad}: "):
+                save_session(session, d / "a.csv", d / "a.meta.json")
+
+    def test_times_one_decimal_apart_round_trip(self, tmp_path, subject):
+        session = TrackingSession(subject=subject, times=np.array([0.0, 1e-12, 1.0]),
+                                  r=np.stack([np.eye(3)] * 3), p=np.zeros((3, 3)))
+        d1, m1 = tmp_path / "a.csv", tmp_path / "a.meta.json"
+        save_session(session, d1, m1)
+        d2, m2 = tmp_path / "b.csv", tmp_path / "b.meta.json"
+        save_session(load_session(d1, m1), d2, m2)
+        assert d1.read_bytes() == d2.read_bytes()
+        assert m1.read_bytes() == m2.read_bytes()
 
 
 def hand_built_session(subject, big):
@@ -531,6 +570,12 @@ class TestTrackingSessionInvariants:
                 subject=subject, times=np.array([0.0, 0.1, 0.2]),
                 r=np.stack([np.eye(3), bad_r, bad_r]), p=np.stack([np.zeros(3), bad_p, bad_p]),
             )
+
+    def test_empty_session_refused(self, subject):
+        # its header-only data file would not load
+        with pytest.raises(ValueError, match="at least one sample"):
+            TrackingSession(subject=subject, times=np.empty(0), r=np.empty((0, 3, 3)),
+                            p=np.empty((0, 3)))
 
     def test_shapes_checked(self, subject):
         with pytest.raises(ValueError, match="matching lengths"):
