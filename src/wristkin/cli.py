@@ -2,11 +2,15 @@
 validation, and plot-ready exports.
 
 Subcommands: fk, ik, synth, fit, predict, validate, residuals, stats,
-check. Commands that write files also emit a ``<command>_manifest.json``
-(command, tool version, resolved parameters, input/output paths — no
-timestamps, so reruns are byte-identical). fk and ik take and print
-angles in degrees unless ``--angle-unit rad`` is given; files always use
-radians. synth draws the one protocol of
+check. Commands that write files also emit a ``<command>_manifest.json``,
+built by one rule in :func:`_write_manifest`: its parameters are the
+parsed arguments (under their argparse dest) plus the constants the
+command resolved, and its inputs are the pose, surface and data paths
+given. It holds no timestamps, so reruns are byte-identical.
+
+fk and ik take and print angles in degrees unless ``--angle-unit rad`` is
+given; data files always use radians, and fk's manifest records the
+angles as given, next to ``angle_unit``. synth draws the one protocol of
 :class:`~wristkin.sessions.SyntheticConfig`, and residuals smooths with
 :func:`~wristkin.regression.lowess` at its defaults.
 
@@ -90,19 +94,19 @@ def _csv_lines(*columns) -> list[str]:
     return list(map(",".join, zip(*(map(str, np.asarray(c).tolist()) for c in columns))))
 
 
-def _write_manifest(out_dir: Path, command: str, parameters: dict, inputs, outputs) -> Path:
-    path = out_dir / f"{command}_manifest.json"
-    _write_json(
-        path,
-        {
-            "command": command,
-            "version": __version__,
-            "parameters": parameters,
-            "inputs": [str(p) for p in inputs],
-            "outputs": [str(p) for p in outputs],
-        },
-    )
-    return path
+def _write_manifest(args, outputs, **resolved) -> None:
+    """Write ``<command>_manifest.json`` into ``args.out``: every parsed
+    argument but ``command``, ``func`` and ``out`` under its dest, then the
+    ``resolved`` values; the inputs are the pose, surface and data paths given."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    inputs = [getattr(args, k, None) for k in ("pose", "surface", "data")]
+    _write_json(Path(args.out) / f"{args.command}_manifest.json", {
+        "command": args.command,
+        "version": __version__,
+        "parameters": {**parameters, **resolved},
+        "inputs": [p for p in inputs if p not in (None, "-")],
+        "outputs": [str(p) for p in outputs],
+    })
 
 
 def _ensure_out(args) -> Path:
@@ -166,28 +170,15 @@ def _load_dataset(data_dir: str) -> list[TrackingSession]:
 def _cmd_fk(args) -> int:
     theta3 = _angle_to_rad(args.theta3, args.angle_unit)
     theta4 = _angle_to_rad(args.theta4, args.angle_unit)
-    state = JointState(theta3=theta3, theta4=theta4, d2=args.d2)
-    subject = SubjectParams(a4=args.a4)
+    state = JointState(theta3=theta3, theta4=theta4, d2=args.d2_mm)
+    subject = SubjectParams(a4=args.a4_mm)
     pose = forward_kinematics(state, subject)
     payload = _pose_payload(pose)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        out = _ensure_out(args)
-        pose_path = out / "pose.json"
+        pose_path = _ensure_out(args) / "pose.json"
         _write_json(pose_path, payload)
-        _write_manifest(
-            out,
-            "fk",
-            {
-                "theta3_rad": theta3,
-                "theta4_rad": theta4,
-                "d2_mm": args.d2,
-                "a4_mm": args.a4,
-                "angle_unit": args.angle_unit,
-            },
-            [],
-            [pose_path],
-        )
+        _write_manifest(args, [pose_path])
     return 0
 
 
@@ -197,7 +188,7 @@ def _cmd_ik(args) -> int:
     else:
         text, where = _read_text(args.pose), args.pose
     pose = _pose_from_payload(_json_object(text, where), where)
-    state = inverse_kinematics(pose, SubjectParams(a4=args.a4))
+    state = inverse_kinematics(pose, SubjectParams(a4=args.a4_mm))
     unit = args.angle_unit
     result = {
         "angle_unit": unit,
@@ -209,16 +200,9 @@ def _cmd_ik(args) -> int:
     }
     print(json.dumps(result, indent=2, sort_keys=True))
     if args.out:
-        out = _ensure_out(args)
-        joints_path = out / "joints.json"
+        joints_path = _ensure_out(args) / "joints.json"
         _write_json(joints_path, result)
-        _write_manifest(
-            out,
-            "ik",
-            {"pose": args.pose, "a4_mm": args.a4, "angle_unit": unit},
-            [] if args.pose == "-" else [args.pose],
-            [joints_path],
-        )
+        _write_manifest(args, [joints_path])
     return 0
 
 
@@ -229,8 +213,8 @@ def _cmd_synth(args) -> int:
         n_subjects=args.subjects,
         seed=args.seed,
         cycles_per_subject=args.cycles,
-        duration_s=args.duration,
-        noise_sigma_mm=args.noise_sigma,
+        duration_s=args.duration_s,
+        noise_sigma_mm=args.noise_sigma_mm,
     )
     out = _ensure_out(args)
     outputs = []
@@ -239,25 +223,9 @@ def _cmd_synth(args) -> int:
         meta_path = out / f"subject_{i:02d}.meta.json"
         save_session(session, data_path, meta_path)
         outputs.extend([data_path, meta_path])
-    _write_manifest(
-        out,
-        "synth",
-        {
-            "subjects": args.subjects,
-            "seed": args.seed,
-            "cycles": args.cycles,
-            "duration_s": args.duration,
-            "sample_rate_hz": SAMPLE_RATE_HZ,
-            "flexion_max_rad": FLEXION_MAX,
-            "extension_max_rad": EXTENSION_MAX,
-            "rud_amplitude_rad": RUD_AMPLITUDE,
-            "noise_sigma_mm": args.noise_sigma,
-            "a4_range_mm": list(A4_RANGE),
-            "surface": args.surface or "builtin-reference",
-        },
-        [args.surface] if args.surface else [],
-        outputs,
-    )
+    _write_manifest(args, outputs, sample_rate_hz=SAMPLE_RATE_HZ, flexion_max_rad=FLEXION_MAX,
+                    extension_max_rad=EXTENSION_MAX, rud_amplitude_rad=RUD_AMPLITUDE,
+                    a4_range_mm=list(A4_RANGE), surface=args.surface or "builtin-reference")
     print(f"wrote {args.subjects} sessions to {out}")
     return 0
 
@@ -279,22 +247,10 @@ def _cmd_fit(args) -> int:
     report_path = out / "fit_report.json"
     save_surface(surface, surface_path)
     _write_json(report_path, _report_payload(report))
-    _write_manifest(
-        out,
-        "fit",
-        {
-            "data": args.data,
-            "seed": args.seed,
-            "n_fit": args.n_fit,
-            "subjects_used": [s.subject.subject_id for s in sessions],
-            "generations": config.generations,
-            "population_size": config.population_size,
-            "crossover_rate": CROSSOVER_RATE,
-            "mutation_rate": MUTATION_RATE,
-        },
-        [args.data],
-        [surface_path, report_path],
-    )
+    _write_manifest(args, [surface_path, report_path],
+                    subjects_used=[s.subject.subject_id for s in sessions],
+                    population_size=config.population_size,
+                    crossover_rate=CROSSOVER_RATE, mutation_rate=MUTATION_RATE)
     print(
         f"fit {report.n} points from {len(sessions)} sessions: "
         f"rmse={report.rmse:.4f} mm r2={report.r_squared:.4f}"
@@ -317,13 +273,7 @@ def _cmd_predict(args) -> int:
     report = fit_report(surface, to_data_points(all_series))
     report_path = out / "predict_report.json"
     _write_json(report_path, _report_payload(report))
-    _write_manifest(
-        out,
-        "predict",
-        {"surface": args.surface, "data": args.data},
-        [args.surface, args.data],
-        [predictions_path, report_path],
-    )
+    _write_manifest(args, [predictions_path, report_path])
     print(f"predicted {report.n} samples: rmse={report.rmse:.4f} mm")
     return 0
 
@@ -350,13 +300,7 @@ def _cmd_validate(args) -> int:
             "pooled_sd_mm": summary.pooled_sd,
         },
     )
-    _write_manifest(
-        out,
-        "validate",
-        {"surface": args.surface, "data": args.data},
-        [args.surface, args.data],
-        [per_subject_path, report_path],
-    )
+    _write_manifest(args, [per_subject_path, report_path])
     print(
         f"validated {len(summary.subjects)} subjects: "
         f"pooled residual {summary.pooled_mean:+.3f} +- {summary.pooled_sd:.3f} mm"
@@ -384,19 +328,8 @@ def _cmd_residuals(args) -> int:
     rows = [RESIDUALS_HEADER] + _csv_lines(range(residual.size), residual, std_res, smooth)
     residuals_path = out / "residuals.csv"
     residuals_path.write_text("\n".join(rows) + "\n")
-    _write_manifest(
-        out,
-        "residuals",
-        {
-            "surface": args.surface,
-            "data": args.data,
-            "lowess_frac": LOWESS_FRAC,
-            "lowess_iterations": LOWESS_ITERATIONS,
-            "lowess_max_points": args.lowess_max_points,
-        },
-        [args.surface, args.data],
-        [residuals_path],
-    )
+    _write_manifest(args, [residuals_path],
+                    lowess_frac=LOWESS_FRAC, lowess_iterations=LOWESS_ITERATIONS)
     print(f"wrote {residual.size} residuals to {residuals_path}")
     return 0
 
@@ -433,7 +366,7 @@ def _cmd_stats(args) -> int:
     out = _ensure_out(args)
     stats_path = out / "stats.json"
     _write_json(stats_path, payload)
-    _write_manifest(out, "stats", {"data": args.data}, [args.data], [stats_path])
+    _write_manifest(args, [stats_path])
     print(
         f"d2 vs beta4 over {payload['pooled']['n']} samples: "
         f"slope={pooled_fit.slope:.2f} mm/rad spearman={pooled_fit.rho:.3f}"
@@ -606,15 +539,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta3", type=float, required=True,
                    help="deviation angle (in --angle-unit)")
     p.add_argument("--theta4", type=float, required=True, help="flexion angle (in --angle-unit)")
-    p.add_argument("--d2", type=float, required=True, help="prismatic offset (mm)")
-    p.add_argument("--a4", type=float, required=True, help="fingertip link length (mm)")
+    p.add_argument("--d2", dest="d2_mm", type=float, required=True, help="prismatic offset (mm)")
+    p.add_argument("--a4", dest="a4_mm", type=float, required=True,
+                   help="fingertip link length (mm)")
     p.add_argument("--out", help="directory for pose.json + manifest")
     _add_angle_unit(p)
     p.set_defaults(func=_cmd_fk)
 
     p = sub.add_parser("ik", help="inverse kinematics of a pose JSON")
     p.add_argument("--pose", required=True, help="pose JSON path, or '-' for stdin")
-    p.add_argument("--a4", type=float, required=True, help="fingertip link length (mm)")
+    p.add_argument("--a4", dest="a4_mm", type=float, required=True,
+                   help="fingertip link length (mm)")
     p.add_argument("--out", help="directory for joints.json + manifest")
     _add_angle_unit(p)
     p.set_defaults(func=_cmd_ik)
@@ -624,8 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--cycles", type=_COUNT, default=10)
-    p.add_argument("--duration", type=_DURATION, default=40.0, help="seconds")
-    p.add_argument("--noise-sigma", type=_NON_NEGATIVE, default=0.0, help="d2 noise sd (mm)")
+    p.add_argument("--duration", dest="duration_s", type=_DURATION, default=40.0, help="seconds")
+    p.add_argument("--noise-sigma", dest="noise_sigma_mm", type=_NON_NEGATIVE, default=0.0,
+                   help="d2 noise sd (mm)")
     p.add_argument("--surface", help="ground-truth surface JSON (default: built-in)")
     p.set_defaults(func=_cmd_synth)
 

@@ -163,6 +163,13 @@ class SyntheticConfig:
         if not math.isfinite(self.duration_s * SAMPLE_RATE_HZ):
             raise ValueError(f"duration_s {self.duration_s} gives a non-finite sample count "
                              f"at {SAMPLE_RATE_HZ} Hz")
+        try:
+            omega = 2.0 * math.pi * self.cycles_per_subject / self.duration_s
+        except OverflowError:  # a cycle count too large for a float
+            omega = math.inf
+        if not math.isfinite(omega):
+            raise ValueError("angular frequency 2*pi*cycles_per_subject/duration_s "
+                             "is not finite")
 
 
 def _parse_meta(payload: dict, where) -> tuple[SubjectParams, str]:

@@ -135,7 +135,9 @@ def _fk_arrays(theta3, theta4, d2, a4: float) -> tuple[np.ndarray, np.ndarray]:
     joint values given as scalars or as arrays of one shape."""
     c3, s3 = np.cos(theta3), np.sin(theta3)
     c4, s4 = np.cos(theta4), np.sin(theta4)
-    px = d2 - a4 * s3 * c4
+    # a huge finite d2 and a4 can overflow px to inf, which Pose refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = d2 - a4 * s3 * c4
     r = np.empty(np.shape(px) + (3, 3))
     r[..., 0, 0], r[..., 0, 1], r[..., 0, 2] = -s3 * c4, s3 * s4, c3
     r[..., 1, 0], r[..., 1, 1], r[..., 1, 2] = c3 * c4, -c3 * s4, s3
@@ -177,9 +179,12 @@ def _ik_arrays(r: np.ndarray, p: np.ndarray, a4: float):
     # indexing the transposes yields numpy scalars for one pose (cheap
     # arithmetic) and sample columns for a batch
     rt, pt = r.T, p.T
-    theta4 = _arcsin_checked(pt[2] / a4, "p_z / a4", OutOfReachError)
-    theta3 = _arcsin_checked(rt[2, 1], "a_y", OrientationError)
-    d2 = pt[0] - a4 * rt[0, 0]
+    # a huge finite p and a tiny a4 can overflow p_z / a4 or d2 to inf: the
+    # first fails the arcsin domain check, the second the joint-state check
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta4 = _arcsin_checked(pt[2] / a4, "p_z / a4", OutOfReachError)
+        theta3 = _arcsin_checked(rt[2, 1], "a_y", OrientationError)
+        d2 = pt[0] - a4 * rt[0, 0]
     return theta3, theta4, d2
 
 

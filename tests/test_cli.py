@@ -13,6 +13,7 @@ from wristkin import (
     RationalQuadricSurface,
     SchemaError,
     SubjectParams,
+    __version__,
     derive_joint_series,
     forward_kinematics,
     load_session,
@@ -21,6 +22,7 @@ from wristkin import (
     subject_split,
 )
 from wristkin.cli import run
+from wristkin.ga import CROSSOVER_RATE, MUTATION_RATE, GAConfig
 from wristkin.regression import LOWESS_FRAC, LOWESS_ITERATIONS
 from wristkin.sessions import A4_RANGE, EXTENSION_MAX, FLEXION_MAX, RUD_AMPLITUDE, SAMPLE_RATE_HZ
 
@@ -234,6 +236,88 @@ class TestPipeline:
         assert len(payload["per_subject"]) == 3
 
 
+SYNTH_CONSTANTS = {"sample_rate_hz": SAMPLE_RATE_HZ, "flexion_max_rad": FLEXION_MAX,
+                   "extension_max_rad": EXTENSION_MAX, "rud_amplitude_rad": RUD_AMPLITUDE,
+                   "a4_range_mm": list(A4_RANGE)}
+SYNTH_ARGV = ["synth", "--subjects", "2", "--seed", "4", "--cycles", "1", "--duration", "2"]
+SYNTH_OUTPUTS = ["{out}/subject_00.csv", "{out}/subject_00.meta.json",
+                 "{out}/subject_01.csv", "{out}/subject_01.meta.json"]
+SURFACE_DATA = ["--surface", "{surface}", "--data", "{data}"]
+
+# each file-writing command: argv ({...} filled from TestManifests' paths,
+# --out appended), then its manifest's parameters, inputs and outputs: every
+# parsed argument, what the command resolved, and the input paths given
+MANIFESTS = [
+    pytest.param(SYNTH_ARGV,
+                 {"subjects": 2, "seed": 4, "cycles": 1, "duration_s": 2.0,
+                  "noise_sigma_mm": 0.0, "surface": "builtin-reference", **SYNTH_CONSTANTS},
+                 [], SYNTH_OUTPUTS, id="synth"),
+    pytest.param([*SYNTH_ARGV, "--noise-sigma", "0.5", "--surface", "{surface}"],
+                 {"subjects": 2, "seed": 4, "cycles": 1, "duration_s": 2.0,
+                  "noise_sigma_mm": 0.5, "surface": "{surface}", **SYNTH_CONSTANTS},
+                 ["{surface}"], SYNTH_OUTPUTS, id="synth surface"),
+    pytest.param(["fit", "--data", "{data}", "--n-fit", "2", "--seed", "5", "--generations", "40"],
+                 {"data": "{data}", "seed": 5, "n_fit": 2, "generations": 40,
+                  "subjects_used": subject_split(["subject_00", "subject_01", "subject_02"],
+                                                 2, seed=5)[0],
+                  "population_size": GAConfig.population_size,
+                  "crossover_rate": CROSSOVER_RATE, "mutation_rate": MUTATION_RATE},
+                 ["{data}"], ["{out}/surface.json", "{out}/fit_report.json"], id="fit"),
+    pytest.param(["predict", *SURFACE_DATA], {"surface": "{surface}", "data": "{data}"},
+                 ["{surface}", "{data}"], ["{out}/predictions.csv", "{out}/predict_report.json"],
+                 id="predict"),
+    pytest.param(["validate", *SURFACE_DATA], {"surface": "{surface}", "data": "{data}"},
+                 ["{surface}", "{data}"], ["{out}/per_subject.csv", "{out}/validate_report.json"],
+                 id="validate"),
+    pytest.param(["residuals", *SURFACE_DATA, "--lowess-max-points", "50"],
+                 {"surface": "{surface}", "data": "{data}", "lowess_max_points": 50,
+                  "lowess_frac": LOWESS_FRAC, "lowess_iterations": LOWESS_ITERATIONS},
+                 ["{surface}", "{data}"], ["{out}/residuals.csv"], id="residuals"),
+    pytest.param(["stats", "--data", "{data}"], {"data": "{data}"}, ["{data}"],
+                 ["{out}/stats.json"], id="stats"),
+    pytest.param(["fk", "--theta3", "7", "--theta4", "-9", "--d2", "12.5", "--a4", "105"],
+                 {"theta3": 7.0, "theta4": -9.0, "d2_mm": 12.5, "a4_mm": 105.0,
+                  "angle_unit": "deg"},
+                 [], ["{out}/pose.json"], id="fk"),
+    pytest.param(["ik", "--pose", "{pose}", "--a4", "105", "--angle-unit", "rad"],
+                 {"pose": "{pose}", "a4_mm": 105.0, "angle_unit": "rad"},
+                 ["{pose}"], ["{out}/joints.json"], id="ik"),
+    # a pose read from stdin has no input path
+    pytest.param(["ik", "--pose", "-", "--a4", "105"],
+                 {"pose": "-", "a4_mm": 105.0, "angle_unit": "deg"},
+                 [], ["{out}/joints.json"], id="ik stdin"),
+]
+
+
+def _filled(value, paths: dict):
+    """``value`` with each string's {...} fields filled from ``paths``."""
+    if isinstance(value, str):
+        return value.format(**paths)
+    if isinstance(value, list):
+        return [_filled(v, paths) for v in value]
+    if isinstance(value, dict):
+        return {k: _filled(v, paths) for k, v in value.items()}
+    return value
+
+
+class TestManifests:
+    @pytest.mark.parametrize("argv, parameters, inputs, outputs", MANIFESTS)
+    def test_manifest_records_arguments_and_resolved_values(
+        self, argv, parameters, inputs, outputs, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        fk = forward_kinematics(JointState(0.1, 0.2, 3.0), SubjectParams(a4=105.0))
+        pose = json.dumps({key: list(getattr(fk, key)) for key in "noap"})
+        (tmp_path / "pose.json").write_text(pose)
+        monkeypatch.setattr("sys.stdin", io.StringIO(pose))
+        paths = {"data": str(data_dir), "surface": str(tmp_path / "truth.json"),
+                 "pose": str(tmp_path / "pose.json"), "out": str(tmp_path / "o")}
+        assert run([*_filled(argv, paths), "--out", paths["out"]]) == 0
+        manifest = json.loads((tmp_path / "o" / f"{argv[0]}_manifest.json").read_text())
+        assert manifest == {"command": argv[0], "version": __version__,
+                            "parameters": _filled(parameters, paths),
+                            "inputs": _filled(inputs, paths), "outputs": _filled(outputs, paths)}
+
+
 class TestCheck:
     def test_accepts_valid_outputs(self, data_dir, tmp_path, steep_truth, capsys):
         surface_path = tmp_path / "s.json"
@@ -405,6 +489,7 @@ def _malformed_inputs(tmp_path, data_dir) -> dict:
                        ("deep_json", "[" * 200_000 + "]" * 200_000),
                        ("long_int_json", '{"numerator": [%s]}' % ("9" * 5000)),
                        ("short_pose", json.dumps({**good_pose, "p": [0, 0]})),
+                       ("far_pose", json.dumps({**good_pose, "p": [0, 0, 1e308]})),
                        ("reflected_pose", json.dumps({**good_pose, "a": [0, 0, -1]}))):
         (tmp_path / f"{name}.json").write_text(text)
         files[name] = str(tmp_path / f"{name}.json")
@@ -464,6 +549,17 @@ MALFORMED = [
     pytest.param(["fit", "--data", "{data}", "--n-fit", "3"], 2,
                  "error: --n-fit must be below the 3 sessions in {data}, got 3",
                  id="fit n-fit-at-session-count"),
+    # 2*pi*cycles/duration past a float: a cycle count no float holds, a tiny duration
+    *(pytest.param(["synth", "--subjects", "1", *extra], 4,
+                   "angular frequency 2*pi*cycles_per_subject/duration_s is not finite",
+                   id=f"synth {name}")
+      for name, extra in (("cycles-past-float", ["--cycles", "1" + "0" * 400]),
+                          ("tiny-duration", ["--duration", "1e-310"]))),
+    # finite inputs whose closed forms overflow
+    pytest.param(["ik", "--pose", "{far_pose}", "--a4", "1e-300"], 3,
+                 "p_z / a4 = inf outside arcsin domain", id="ik overflowing-reach"),
+    pytest.param(["fk", "--theta3", "90", "--theta4", "0", "--d2=-1e308", "--a4", "1e308"], 4,
+                 "pose entries must be finite", id="fk overflowing-position"),
 ]
 
 

@@ -371,6 +371,12 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="duration"):
             small_config(steep_truth, duration_s=duration)
 
+    @pytest.mark.parametrize("cycles, duration", [(10**400, 8.0), (1, 1e-310), (10**308, 0.1)],
+                             ids=["cycles-past-float", "tiny-duration", "overflowing-product"])
+    def test_angular_frequency_must_be_finite(self, steep_truth, cycles, duration):
+        with pytest.raises(ValueError, match=r"2\*pi\*cycles_per_subject/duration_s is not finite"):
+            small_config(steep_truth, cycles_per_subject=cycles, duration_s=duration)
+
 
 class TestDeriveJointSeries:
     def test_round_trip_noiseless(self, steep_truth):
